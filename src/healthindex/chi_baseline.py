@@ -10,17 +10,16 @@ monotonicity term.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteObjective
+# both model kinds share one file format, writer and loader; save_model stays
+# importable from here because perfbench's tracer wraps chi_baseline.save_model
+from .med_core import FORMAT_VERSION, save_model  # noqa: F401
 from .panel import NEGATIVE, POSITIVE, LongitudinalPanel
-
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -234,10 +233,6 @@ def model_payload(
     if standardization_dict is not None:
         payload["standardization"] = standardization_dict
     return payload
-
-
-def save_model(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def model_from_payload(payload: dict) -> ChiModel:

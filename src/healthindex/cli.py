@@ -104,10 +104,9 @@ def _cmd_train(args) -> int:
         payload = med_core.model_payload(
             problem, solution, standardization_dict=standardization.to_dict()
         )
-        med_core.save_model(args.out, payload)
-        print(
-            f"wrote {args.out} (converged={solution.converged}, "
-            f"iterations={solution.iterations}, objective={solution.objective:.6g})"
+        summary = (
+            f"converged={solution.converged}, "
+            f"iterations={solution.iterations}, objective={solution.objective:.6g}"
         )
     else:
         hyper = ChiHyperparams(args.alpha, args.beta, args.lambda_var, args.gamma_l1)
@@ -117,8 +116,9 @@ def _cmd_train(args) -> int:
         payload = chi_baseline.model_payload(
             model, hyper, standardization_dict=standardization.to_dict()
         )
-        chi_baseline.save_model(args.out, payload)
-        print(f"wrote {args.out} (|w|_1={float(abs(model.w).sum()):.6g}, b={model.b:.6g})")
+        summary = f"|w|_1={float(abs(model.w).sum()):.6g}, b={model.b:.6g}"
+    med_core.save_model(args.out, payload)
+    print(f"wrote {args.out} ({summary})")
 
     if args.standardization_out:
         save_standardization(standardization, args.standardization_out)
@@ -136,7 +136,7 @@ def _add_predict_parser(subparsers):
 
 
 def _cmd_predict(args) -> int:
-    payload = json.loads(Path(args.model).read_text())
+    payload = med_core.load_model(args.model)
     panel = load_panel(args.panel)
     standardization = (
         Standardization.from_dict(payload["standardization"])

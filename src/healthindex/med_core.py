@@ -9,8 +9,9 @@ over the box 0 <= lam_n < c, where a_n is the per-subject aggregate vector
 and c is the rate of the exponential margin prior. J is smooth and strictly
 concave on the open box (the log barrier diverges at lam_n = c), so the
 optimum is unique and certified by the projected-gradient KKT conditions.
-The solver warm-starts from an equivalent d-dimensional strongly convex
-problem and finishes with damped Newton ascent in multiplier space.
+The solver runs one damped projected Newton loop in multiplier space,
+warm-started from an equivalent d-dimensional strongly convex problem when
+there are more subjects than features.
 The weight posterior under a standard normal prior is N(v(lam*), I).
 """
 
@@ -20,7 +21,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,9 +35,6 @@ BOX_MARGIN = 1e-8
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 ARMIJO_SIGMA = 1e-4
-MAX_BACKTRACKS = 60
-MAX_POLISH_STEPS = 50
-MAX_COORDINATE_SWEEPS = 20_000
 
 
 @dataclass(frozen=True)
@@ -163,12 +161,6 @@ def projected_gradient(lam: np.ndarray, grad: np.ndarray, upper: float) -> np.nd
     return pg
 
 
-def _initial_lambda(problem: DualProblem) -> np.ndarray:
-    start = min(0.5, max((problem.c - 1.0) / 2.0, 1e-3))
-    start = min(start, problem.box_upper / 2.0)
-    return np.full(problem.n_subjects, start)
-
-
 def _presolve_potential(problem: DualProblem, max_iter: int = 150) -> np.ndarray:
     """Warm-start multipliers from the d-dimensional potential problem.
 
@@ -233,73 +225,24 @@ def _presolve_potential(problem: DualProblem, max_iter: int = 150) -> np.ndarray
     return lam_of(aggs @ v)
 
 
-def _coordinate_optimum(c: float, upper: float, residual: float, row_norm_sq: float) -> float:
-    """Exact maximizer over one coordinate, the others held fixed.
-
-    Solves 1 - 1/(c - lam) - residual - row_norm_sq * lam = 0 on [0, upper],
-    where residual is a_n . v without this coordinate's own contribution.
-    The 1-d function is strictly concave with a barrier at c, so the
-    stationary point is the unique root of a quadratic; no root means the
-    maximum sits at the lower bound.
-    """
-    slope0 = 1.0 - 1.0 / c - residual
-    if slope0 <= 0.0:
-        return 0.0
-    if row_norm_sq == 0.0:
-        return min(upper, c - 1.0 / (1.0 - residual))
-    # q lam^2 - ((1 - r) + q c) lam + ((1 - r) c - 1) = 0
-    q = row_norm_sq
-    b = (1.0 - residual) + q * c
-    const = (1.0 - residual) * c - 1.0
-    disc = b * b - 4.0 * q * const
-    if disc < 0.0:
-        return 0.0
-    sqrt_disc = np.sqrt(disc)
-    # stable smaller root; the larger one lies beyond the barrier
-    root = (
-        (b - sqrt_disc) / (2.0 * q)
-        if b <= 0.0
-        else (2.0 * const) / (b + sqrt_disc)
-    )
-    return min(max(root, 0.0), upper)
-
-
 def solve_dual(
     problem: DualProblem,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    scaling: str = "newton",
-    callback: Callable[[int, np.ndarray, float], None] | None = None,
-    raise_on_nonconvergence: bool = True,
 ) -> DualSolution:
-    """Projected ascent on the box [0, c)^N to a KKT certificate.
+    """Damped projected Newton ascent on the box [0, c)^N to a KKT certificate.
 
-    The default path warm-starts from the d-dimensional potential problem,
-    then takes Armijo-backtracked ascent steps; the objective at accepted
-    iterates never decreases (the callback sees exactly these iterates).
-    Near the optimum true per-step gains drop below float resolution, so a
-    bounded polish phase keeps stepping with the same direction rule but
-    accepts only steps that strictly shrink the projected-gradient norm,
-    and a final exact coordinate-ascent sweep covers anything left. Exits
-    once that norm reaches ``tol``, which certifies the KKT conditions
-    componentwise.
-
-    ``scaling`` picks the ascent direction:
-
-    - ``"newton"`` (default): exact Newton step on the free coordinates,
-      using the closed-form Hessian barrier-diagonal + Gram matrix. The
-      Gram coupling makes diagonal preconditioning arbitrarily slow on
-      correlated aggregates, so the full solve is the only variant that
-      reliably reaches tight tolerances.
-    - ``"diag_newton"``: inverse diagonal curvature 1/(c - lam)^2 + ||a_n||^2.
-    - ``"plain"``: raw gradient.
-
-    Deterministic given inputs.
+    Starts from the potential presolve when N > d, else from a constant
+    interior point, and takes two-metric Levenberg-damped Newton steps.
+    While a step's predicted gain grad . step exceeds J's float resolution,
+    it must pass the Armijo test on J; below that, rounding hides J's
+    progress, so it must strictly shrink the projected-gradient norm
+    instead. Exits once that norm reaches ``tol``, which certifies the KKT
+    conditions componentwise; otherwise raises ``NonConvergence`` carrying
+    the last iterate. ``iterations`` counts accepted steps. Deterministic.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if scaling not in ("newton", "diag_newton", "plain"):
-        raise ValueError(f"unknown scaling {scaling!r}")
     if not np.any(problem.aggregates) and problem.c <= 1.0:
         raise DegenerateProblem(
             "all aggregates are zero and c <= 1: maximizer is the boundary point "
@@ -311,9 +254,6 @@ def solve_dual(
     n_subjects, d = aggs.shape
     row_sq = np.einsum("nd,nd->n", aggs, aggs)
     edge = 1e-12 * problem.c
-
-    def diag_direction(lam, grad):
-        return grad / (1.0 / (problem.c - lam) ** 2 + row_sq)
 
     def newton_direction(lam, grad, damping):
         """Two-metric damped Newton step.
@@ -357,124 +297,51 @@ def solve_dual(
     def pg_norm_at(lam, grad):
         return float(np.linalg.norm(projected_gradient(lam, grad, upper)))
 
-    if scaling == "newton" and d < n_subjects and np.any(aggs):
+    if d < n_subjects and np.any(aggs):
         lam = _presolve_potential(problem)
     else:
-        lam = _initial_lambda(problem)
+        start = min(0.5, max((problem.c - 1.0) / 2.0, 1e-3), upper / 2.0)
+        lam = np.full(n_subjects, start)
     obj = dual_objective(lam, problem)
-    if callback is not None:
-        callback(0, lam, obj)
-
-    iterations = 0
-    converged = False
     grad = dual_gradient(lam, problem)
     pg_norm = pg_norm_at(lam, grad)
     damping = 0.0
+    iterations = 0
 
-    for _ in range(max_iter):
-        if pg_norm <= tol:
-            converged = True
-            break
+    while pg_norm > tol and iterations < max_iter:
+        # below this predicted gain the Armijo test compares rounding noise
+        resolution = np.finfo(float).eps / ARMIJO_SIGMA * max(1.0, abs(obj))
         accepted = False
-        if scaling == "newton":
-            # Levenberg schedule: grow damping until a step is accepted,
-            # relax it again afterwards so the endgame is pure Newton
-            for _ in range(MAX_BACKTRACKS):
-                candidate = np.clip(lam + newton_direction(lam, grad, damping), 0.0, upper)
-                gain = float(grad @ (candidate - lam))
-                if gain > 0.0:
-                    cand_obj = dual_objective(candidate, problem)
-                    if cand_obj >= obj + ARMIJO_SIGMA * gain:
-                        lam, obj = candidate, cand_obj
-                        accepted = True
-                        damping = 0.0 if damping < 1e-10 else damping / 8.0
-                        break
-                damping = max(damping * 10.0, 1e-8)
-                if damping > 1e14:
-                    break
-        else:
-            direction = diag_direction(lam, grad) if scaling == "diag_newton" else grad
-            step = 1.0
-            for _ in range(MAX_BACKTRACKS):
-                candidate = np.clip(lam + step * direction, 0.0, upper)
-                gain = float(grad @ (candidate - lam))
-                if gain <= 0.0:
-                    break
+        # Levenberg schedule: grow damping until a step is accepted,
+        # relax it again afterwards so the endgame is pure Newton
+        while not accepted and damping <= 1e14:
+            candidate = np.clip(lam + newton_direction(lam, grad, damping), 0.0, upper)
+            gain = float(grad @ (candidate - lam))
+            if gain > 0.0:
                 cand_obj = dual_objective(candidate, problem)
-                if cand_obj >= obj + ARMIJO_SIGMA * gain:
-                    lam, obj = candidate, cand_obj
-                    accepted = True
-                    break
-                step *= 0.5
+                if gain > resolution:
+                    accepted = cand_obj >= obj + ARMIJO_SIGMA * gain
+                else:
+                    cand_grad = dual_gradient(candidate, problem)
+                    accepted = pg_norm_at(candidate, cand_grad) < pg_norm
+            if not accepted:
+                damping = max(damping * 10.0, 1e-8)
         if not accepted:
-            # per-step gains fell below float resolution; hand over to polish
             break
+        lam, obj = candidate, cand_obj
+        damping = 0.0 if damping < 1e-10 else damping / 8.0
         iterations += 1
-        if callback is not None:
-            callback(iterations, lam, obj)
         grad = dual_gradient(lam, problem)
         pg_norm = pg_norm_at(lam, grad)
 
-    for _ in range(MAX_POLISH_STEPS):
-        if pg_norm <= tol:
-            converged = True
-            break
-        accepted = False
-        damping = 0.0
-        for _ in range(MAX_BACKTRACKS):
-            if scaling == "newton":
-                candidate = np.clip(lam + newton_direction(lam, grad, damping), 0.0, upper)
-                damping = max(damping * 10.0, 1e-8)
-            else:
-                step = 0.5 ** damping if damping else 1.0
-                direction = (
-                    diag_direction(lam, grad) if scaling != "plain" else grad
-                )
-                candidate = np.clip(lam + step * direction, 0.0, upper)
-                damping += 1.0
-            cand_grad = dual_gradient(candidate, problem)
-            cand_norm = pg_norm_at(candidate, cand_grad)
-            if cand_norm < pg_norm:
-                lam, grad, pg_norm = candidate, cand_grad, cand_norm
-                accepted = True
-                break
-        if not accepted:
-            break
-        iterations += 1
-
-    if pg_norm > tol:
-        # exact cyclic coordinate ascent: conditioning-proof last resort
-        lam = lam.copy()
-        v = aggs.T @ lam
-        for sweep in range(MAX_COORDINATE_SWEEPS):
-            moved = 0.0
-            for n in range(problem.n_subjects):
-                a_n = aggs[n]
-                residual = float(a_n @ v) - lam[n] * row_sq[n]
-                new = _coordinate_optimum(problem.c, upper, residual, row_sq[n])
-                delta = new - lam[n]
-                if delta != 0.0:
-                    v += delta * a_n
-                    lam[n] = new
-                    moved = max(moved, abs(delta))
-            iterations += 1
-            if sweep % 64 == 63:
-                v = aggs.T @ lam  # refresh accumulated rounding drift
-            grad = dual_gradient(lam, problem)
-            pg_norm = pg_norm_at(lam, grad)
-            if pg_norm <= tol or moved == 0.0:
-                break
-
-    converged = converged or pg_norm <= tol
-
     solution = DualSolution(
         lam=lam,
-        objective=dual_objective(lam, problem),
+        objective=obj,
         grad_norm=pg_norm,
         iterations=iterations,
-        converged=converged,
+        converged=pg_norm <= tol,
     )
-    if not converged and raise_on_nonconvergence:
+    if not solution.converged:
         raise NonConvergence(
             f"projected gradient norm {pg_norm:.3e} > tol {tol:.3e} after "
             f"{iterations} iterations",

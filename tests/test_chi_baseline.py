@@ -148,18 +148,29 @@ class TestTraining:
         assert model.w[0] > 0
 
         # independent 2-d grid search over (w, b) confirms the sign and that
-        # training reached a comparable objective
+        # training reached a comparable objective; the objective is written
+        # out from the panel for the whole grid at once (each class holds one
+        # labeled subject, so the variance term is zero)
         grid_w = np.linspace(-3, 3, 301)
         grid_b = np.linspace(-3, 3, 301)
-        best = (np.inf, None)
-        for w in grid_w:
-            for b in grid_b:
-                val = chi_objective(ChiModel(np.array([w]), b), panel, hyper)
-                if val < best[0]:
-                    best = (val, (w, b))
-        assert best[1][0] > 0
+        terminals = np.array([s.terminal[0] for s in panel.subjects])
+        labels = np.array([s.label for s in panel.subjects], dtype=float)
+        diffs = np.concatenate([s.visit_diffs()[:, 0] for s in panel.subjects])
+        w = grid_w[:, None, None]
+        b = grid_b[None, :, None]
+        values = (
+            0.5 * w[..., 0] ** 2
+            + hyper.beta * np.maximum(0.0, 1.0 - labels * (terminals * w + b)).sum(-1)
+            + hyper.alpha * np.maximum(0.0, 1.0 - diffs * w).sum(-1)
+            + hyper.gamma_l1 * np.abs(w[..., 0])
+        )
+        i_best, j_best = np.unravel_index(np.argmin(values), values.shape)
+        for i, j in ((0, 0), (150, 150), (300, 17), (42, 260), (i_best, j_best)):
+            exact = chi_objective(ChiModel(grid_w[i : i + 1], grid_b[j]), panel, hyper)
+            assert values[i, j] == pytest.approx(exact, abs=1e-12)
+        assert grid_w[i_best] > 0
         trained = chi_objective(model, panel, hyper)
-        assert trained <= best[0] + 0.05
+        assert trained <= values[i_best, j_best] + 0.05
 
     def test_zero_hyper_keeps_zero_weights(self):
         panel = toy_panel()

@@ -107,6 +107,18 @@ class TestTrainPredictEvaluate:
         )
         assert code == 2
 
+    def test_unsupported_model_format_exits_2(self, tmp_path, capsys):
+        panel = simulate_panel(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--panel", panel, "--out", model]) == 0
+        payload = json.loads(model.read_text())
+        payload["format_version"] = 99
+        model.write_text(json.dumps(payload))
+        preds = tmp_path / "preds.csv"
+        assert run(["predict", "--model", model, "--panel", panel, "--out", preds]) == 2
+        assert "unsupported model format: 99" in capsys.readouterr().err
+        assert not preds.exists()
+
     def test_evaluate_skips_subjects_without_truth(self, tmp_path, capsys):
         partial = simulate_panel(tmp_path, **{"--label-observed-fraction": 0.5})
         model = tmp_path / "m.json"

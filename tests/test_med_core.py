@@ -45,6 +45,15 @@ def interior_lambda(rng, problem):
     return rng.uniform(0.0, 0.9) * problem.c * rng.uniform(0.05, 0.95, problem.n_subjects)
 
 
+def assert_kkt_certificate(problem, solution, tol):
+    grad = dual_gradient(solution.lam, problem)
+    for lam_n, g_n in zip(solution.lam, grad):
+        if lam_n <= 0.0:
+            assert g_n <= tol
+        else:
+            assert abs(g_n) <= tol
+
+
 class TestPotentialVector:
     def test_zero_multipliers_give_zero(self):
         agg = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -188,42 +197,7 @@ class TestSolveDual:
             problem = random_problem(
                 rng, n=int(rng.integers(1, 8)), d=int(rng.integers(1, 5)), c=2.0
             )
-            solution = solve_dual(problem, tol=tol)
-            grad = dual_gradient(solution.lam, problem)
-            for lam_n, g_n in zip(solution.lam, grad):
-                if lam_n <= 0.0:
-                    assert g_n <= tol
-                else:
-                    assert abs(g_n) <= tol
-
-    def test_objective_never_decreases(self):
-        rng = np.random.default_rng(53)
-        problem = random_problem(rng, n=8, d=4, c=5.0)
-        for scaling in ("newton", "diag_newton", "plain"):
-            history = []
-            solve_dual(
-                problem,
-                scaling=scaling,
-                callback=lambda k, lam, obj: history.append(obj),
-                raise_on_nonconvergence=False,
-            )
-            assert np.all(np.diff(history) >= 0)
-        # the gradient modes produce long ascent paths; check one explicitly
-        history = []
-        solve_dual(
-            problem,
-            scaling="diag_newton",
-            callback=lambda k, lam, obj: history.append(obj),
-            raise_on_nonconvergence=False,
-        )
-        assert len(history) >= 2
-
-    def test_plain_scaling_agrees_with_newton(self):
-        rng = np.random.default_rng(61)
-        problem = random_problem(rng, n=4, d=3, c=2.0)
-        newton = solve_dual(problem, scaling="diag_newton")
-        plain = solve_dual(problem, scaling="plain")
-        assert newton.objective == pytest.approx(plain.objective, abs=1e-10)
+            assert_kkt_certificate(problem, solve_dual(problem, tol=tol), tol)
 
     def test_stored_objective_matches_reevaluation(self):
         rng = np.random.default_rng(67)
@@ -246,15 +220,49 @@ class TestSolveDual:
             solve_dual(problem, tol=1e-300, max_iter=2)
         partial = excinfo.value.solution
         assert partial is not None and not partial.converged
+        assert partial.grad_norm > 0
 
-    def test_nonconvergence_can_return_instead(self):
-        rng = np.random.default_rng(73)
-        problem = random_problem(rng, n=6, d=3, c=2.0)
-        solution = solve_dual(
-            problem, tol=1e-300, max_iter=2, raise_on_nonconvergence=False
-        )
-        assert not solution.converged
-        assert solution.grad_norm > 0
+    def test_hopeless_scale_gives_up_quickly(self):
+        # at |a| ~ 1e6 with N > d the 1e-8 certificate is out of reach; the
+        # solver must say so after a bounded number of steps
+        agg = np.random.default_rng(7).normal(size=(30, 5)) * 1e6
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_dual(DualProblem(agg, c=2.0))
+        assert excinfo.value.solution.iterations < 1000
+
+
+def _gaussian(shape, scale=1.0, c=2.0, seed=7):
+    return lambda: (np.random.default_rng(seed).normal(size=shape) * scale, c)
+
+
+def _repeated_rows():
+    rows = np.random.default_rng(5).normal(size=(2, 3))
+    return np.repeat(rows, 5, axis=0), 2.0
+
+
+SOLVER_FIXTURES = {
+    "2000x90-c1.5": _gaussian((2000, 90), 0.3, c=1.5, seed=0),
+    # at c=3 the Armijo test alone stalls at a projected-gradient norm of 2e-6
+    # once J's per-step gains fall below its float resolution
+    "2000x90-c3": _gaussian((2000, 90), 0.3, c=3.0, seed=0),
+    "2000x90-c100": _gaussian((2000, 90), 0.3, c=100.0, seed=0),
+    **{
+        f"{n}x{d}-scale{scale:g}": _gaussian((n, d), scale)
+        for n, d in ((30, 5), (5, 30))
+        for scale in (1e-6, 1e-3, 1e3)
+    },
+    "5x30-scale1e+06": _gaussian((5, 30), 1e6),
+    "1x1-c1+1e-9": _gaussian((1, 1), c=1.0 + 1e-9, seed=11),
+    "20x4-c1.0001": _gaussian((20, 4), c=1.0001, seed=13),
+    "10x3-repeated-rows": _repeated_rows,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_FIXTURES))
+def test_solver_fixture_kkt_certificate(name):
+    agg, c = SOLVER_FIXTURES[name]()
+    problem = DualProblem(agg, c)
+    assert_kkt_certificate(problem, solve_dual(problem, tol=1e-8), tol=1e-8)
 
 
 class TestPosterior:
