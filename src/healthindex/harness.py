@@ -114,15 +114,20 @@ def train_uqchi(
     return med_core.posterior(solution, problem), solution, problem
 
 
-def _accuracy_on_panel(posterior: WeightPosterior, panel: LongitudinalPanel) -> float | None:
-    truth = panel.observed_labels()
-    records = [
-        r for r in predict_panel(posterior, panel) if r.subject_id in truth
-    ]
-    if not records:
-        return None
-    result = evaluate(records_to_labels(records), truth)
-    return result.accuracy
+def _fold_sets(labeled_ids: Sequence[str], folds: int, seed: int) -> list[set[str]]:
+    """Shuffle the labeled ids and partition them into ``folds`` held-out sets.
+
+    With fewer ids than folds this falls back, with a warning, to a single
+    holdout of the first half of the shuffled ids.
+    """
+    shuffled = list(np.random.default_rng(seed).permutation(labeled_ids))
+    if len(shuffled) < folds:
+        warnings.warn(
+            f"{len(shuffled)} labeled subjects < {folds} folds: "
+            "falling back to a single holdout split"
+        )
+        return [set(shuffled[: len(shuffled) // 2])]
+    return [set(part) for part in np.array_split(np.array(shuffled), folds)]
 
 
 def cross_validate_c(
@@ -140,51 +145,51 @@ def cross_validate_c(
     training fold. With fewer labeled subjects than folds this degrades to a
     single holdout (with a warning), and with fewer than two it just returns
     the smallest candidate.
+
+    The loop is fold-major. A subject's aggregate row depends on neither the
+    fold nor c, so the aggregate matrix is built once and each fold trains
+    on a row slice of it. Within a fold the grid is solved in increasing c,
+    each solve warm-started from the previous optimum scaled by
+    (1 - 1/c) / (1 - 1/c_prev): stationarity 1 - 1/(c - lam_n) = a_n . v
+    makes lam proportional to 1 - 1/c when lam << c. A previous c <= 1 gives
+    no usable scale, so that solve starts cold. A fold scores the sign of
+    the posterior-mean index at each held-out terminal visit, ties to +1 as
+    in ``predictor.predict``.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
     grid = sorted(set(float(c) for c in c_grid))
     if not grid:
         raise ValueError("empty c grid")
-    labeled_ids = [s.subject_id for s in train_panel.subjects if s.label is not None]
+    subjects = train_panel.subjects
+    labeled_ids = [s.subject_id for s in subjects if s.label is not None]
     if len(labeled_ids) < 2:
         warnings.warn("fewer than two labeled subjects: returning smallest c")
         return grid[0]
 
-    rng = np.random.default_rng(seed)
-    shuffled = list(rng.permutation(labeled_ids))
-    if len(labeled_ids) < folds:
-        warnings.warn(
-            f"{len(labeled_ids)} labeled subjects < {folds} folds: "
-            "falling back to a single holdout split"
-        )
-        half = len(shuffled) // 2
-        fold_sets = [shuffled[:half]]
-    else:
-        fold_sets = [list(part) for part in np.array_split(np.array(shuffled), folds)]
+    matrix = aggregate_matrix(aggregates(train_panel, LabelPrior.from_panel(train_panel)))
+    terminals = np.array([s.terminal for s in subjects])
+    labels = np.array([0 if s.label is None else s.label for s in subjects])
+    scores = [[] for _ in grid]
+    for heldout_ids in _fold_sets(labeled_ids, folds, seed):
+        heldout = np.array([s.subject_id in heldout_ids for s in subjects])
+        fold_matrix = matrix[~heldout]
+        x_eval, y_eval = terminals[heldout], labels[heldout]
+        lam = c_prev = None
+        for fold_scores, c in zip(scores, grid):
+            start = None
+            if lam is not None and c_prev > 1.0:
+                start = lam * ((1.0 - 1.0 / c) / (1.0 - 1.0 / c_prev))
+            problem = DualProblem(fold_matrix, c)
+            solution = solve_dual(problem, tol=tol, max_iter=max_iter, start=start)
+            mean = med_core.posterior(solution, problem).mean
+            predicted = np.where(x_eval @ mean >= 0.0, 1, -1)
+            fold_scores.append(float(np.mean(predicted == y_eval)))
+            lam, c_prev = solution.lam, c
 
     best_c, best_score = None, -np.inf
-    for c in grid:
-        scores = []
-        for heldout in fold_sets:
-            heldout_set = set(heldout)
-            train_subjects = tuple(
-                s for s in train_panel.subjects if s.subject_id not in heldout_set
-            )
-            eval_subjects = tuple(
-                s for s in train_panel.subjects if s.subject_id in heldout_set
-            )
-            fold_train = LongitudinalPanel(
-                train_subjects, standardization=train_panel.standardization
-            )
-            fold_eval = LongitudinalPanel(
-                eval_subjects, standardization=train_panel.standardization
-            )
-            posterior, _, _ = train_uqchi(fold_train, c, tol=tol, max_iter=max_iter)
-            accuracy = _accuracy_on_panel(posterior, fold_eval)
-            if accuracy is not None:
-                scores.append(accuracy)
-        mean_score = float(np.mean(scores)) if scores else -np.inf
+    for c, fold_scores in zip(grid, scores):
+        mean_score = float(np.mean(fold_scores))
         if mean_score > best_score:
             best_c, best_score = c, mean_score
     return best_c
@@ -205,18 +210,14 @@ def tune_chi_hyperparams(
     labeled_ids = [s.subject_id for s in train_panel.subjects if s.label is not None]
     if len(labeled_ids) < 2:
         raise ValueError("tuning needs at least two labeled subjects")
-    rng = np.random.default_rng(seed)
-    shuffled = list(rng.permutation(labeled_ids))
-    n_folds = min(folds, len(labeled_ids))
-    fold_sets = [list(part) for part in np.array_split(np.array(shuffled), n_folds)]
+    fold_sets = _fold_sets(labeled_ids, min(folds, len(labeled_ids)), seed)
 
     values = sorted(set(float(g) for g in grid))
     best, best_score = None, -np.inf
     for alpha, beta, lambda_var, gamma_l1 in product(values, repeat=4):
         hyper = ChiHyperparams(alpha, beta, lambda_var, gamma_l1)
         scores = []
-        for heldout in fold_sets:
-            heldout_set = set(heldout)
+        for heldout_set in fold_sets:
             train_subjects = tuple(
                 s for s in train_panel.subjects if s.subject_id not in heldout_set
             )

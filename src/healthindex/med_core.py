@@ -11,7 +11,7 @@ concave on the open box (the log barrier diverges at lam_n = c), so the
 optimum is unique and certified by the projected-gradient KKT conditions.
 The solver runs one damped projected Newton loop in multiplier space,
 warm-started from an equivalent d-dimensional strongly convex problem when
-there are more subjects than features.
+there are more subjects than features, or from a caller's multipliers.
 The weight posterior under a standard normal prior is N(v(lam*), I).
 """
 
@@ -161,7 +161,9 @@ def projected_gradient(lam: np.ndarray, grad: np.ndarray, upper: float) -> np.nd
     return pg
 
 
-def _presolve_potential(problem: DualProblem, max_iter: int = 150) -> np.ndarray:
+def _presolve_potential(
+    problem: DualProblem, v0: np.ndarray | None = None, max_iter: int = 150
+) -> np.ndarray:
     """Warm-start multipliers from the d-dimensional potential problem.
 
     Eliminating lambda coordinate-wise turns the dual into an unconstrained
@@ -172,7 +174,8 @@ def _presolve_potential(problem: DualProblem, max_iter: int = 150) -> np.ndarray
     where phi(t) is the per-subject maximum of lam + log(1 - lam/c) - lam*t
     over the box, with maximizer lam*(t) = clip(c - 1/(1 - t)). Newton on F
     has Hessian I + A^T W A (eigenvalues >= 1), so it is immune to the
-    Gram conditioning that slows lambda-space ascent when N > d.
+    Gram conditioning that slows lambda-space ascent when N > d. Newton
+    starts from ``v0`` when given, else from v = 0.
     """
     aggs = problem.aggregates
     c = problem.c
@@ -192,7 +195,7 @@ def _presolve_potential(problem: DualProblem, max_iter: int = 150) -> np.ndarray
             barrier = np.where(lam > 0.0, lam + np.log1p(-lam / c), 0.0)
         return 0.5 * float(v @ v) + float(np.sum(barrier - lam * t))
 
-    v = np.zeros(d)
+    v = np.zeros(d) if v0 is None else np.array(v0, dtype=float)
     t = aggs @ v
     lam = lam_of(t)
     f_value = value(v)
@@ -229,11 +232,17 @@ def solve_dual(
     problem: DualProblem,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    start: Sequence[float] | None = None,
 ) -> DualSolution:
     """Damped projected Newton ascent on the box [0, c)^N to a KKT certificate.
 
     Starts from the potential presolve when N > d, else from a constant
     interior point, and takes two-metric Levenberg-damped Newton steps.
+    A ``start`` multiplier vector (length N, for instance a neighbouring
+    problem's optimum) replaces the cold start: clipped into the box, it is
+    the first iterate when N <= d; when N > d it only seeds the presolve,
+    at v = A^T start, because lambda-space Newton crawls on the Gram
+    conditioning there.
     While a step's predicted gain grad . step exceeds J's float resolution,
     it must pass the Armijo test on J; below that, rounding hides J's
     progress, so it must strictly shrink the projected-gradient norm
@@ -252,6 +261,12 @@ def solve_dual(
     upper = problem.box_upper
     aggs = problem.aggregates
     n_subjects, d = aggs.shape
+    if start is not None:
+        start = np.clip(np.asarray(start, dtype=float), 0.0, upper)
+        if start.shape != (n_subjects,):
+            raise DimensionMismatch(
+                f"start has shape {start.shape}, expected ({n_subjects},)"
+            )
     row_sq = np.einsum("nd,nd->n", aggs, aggs)
     edge = 1e-12 * problem.c
 
@@ -294,17 +309,19 @@ def solve_dual(
             pass
         return direction
 
-    def pg_norm_at(lam, grad):
-        return float(np.linalg.norm(projected_gradient(lam, grad, upper)))
+    def gradient_at(lam):
+        grad = dual_gradient(lam, problem)
+        return grad, float(np.linalg.norm(projected_gradient(lam, grad, upper)))
 
     if d < n_subjects and np.any(aggs):
-        lam = _presolve_potential(problem)
+        lam = _presolve_potential(problem, None if start is None else aggs.T @ start)
+    elif start is not None:
+        lam = start
     else:
-        start = min(0.5, max((problem.c - 1.0) / 2.0, 1e-3), upper / 2.0)
-        lam = np.full(n_subjects, start)
+        cold = min(0.5, max((problem.c - 1.0) / 2.0, 1e-3), upper / 2.0)
+        lam = np.full(n_subjects, cold)
     obj = dual_objective(lam, problem)
-    grad = dual_gradient(lam, problem)
-    pg_norm = pg_norm_at(lam, grad)
+    grad, pg_norm = gradient_at(lam)
     damping = 0.0
     iterations = 0
 
@@ -317,13 +334,14 @@ def solve_dual(
         while not accepted and damping <= 1e14:
             candidate = np.clip(lam + newton_direction(lam, grad, damping), 0.0, upper)
             gain = float(grad @ (candidate - lam))
+            cand_grad = None
             if gain > 0.0:
                 cand_obj = dual_objective(candidate, problem)
                 if gain > resolution:
                     accepted = cand_obj >= obj + ARMIJO_SIGMA * gain
                 else:
-                    cand_grad = dual_gradient(candidate, problem)
-                    accepted = pg_norm_at(candidate, cand_grad) < pg_norm
+                    cand_grad, cand_pg_norm = gradient_at(candidate)
+                    accepted = cand_pg_norm < pg_norm
             if not accepted:
                 damping = max(damping * 10.0, 1e-8)
         if not accepted:
@@ -331,8 +349,10 @@ def solve_dual(
         lam, obj = candidate, cand_obj
         damping = 0.0 if damping < 1e-10 else damping / 8.0
         iterations += 1
-        grad = dual_gradient(lam, problem)
-        pg_norm = pg_norm_at(lam, grad)
+        if cand_grad is None:
+            grad, pg_norm = gradient_at(lam)
+        else:
+            grad, pg_norm = cand_grad, cand_pg_norm
 
     solution = DualSolution(
         lam=lam,

@@ -116,3 +116,46 @@ def dual_value_grid_2d(aggregates, c, step=1e-3, margin=1e-8):
         objective, np.array(best), 0.0, upper
     )
     return refined, float(refined_value)
+
+
+def cross_validate_c_cold(train_panel, c_grid, folds, seed):
+    """Margin-rate CV the slow way: c-major, one cold solve per (c, fold).
+
+    Every fold rebuilds its own training panel and aggregates, and every held-out
+    subject is scored one at a time with ``predictor.predict``.
+    """
+    import warnings
+
+    from healthindex.harness import train_uqchi
+    from healthindex.panel import LongitudinalPanel
+    from healthindex.predictor import predict
+
+    grid = sorted(set(float(c) for c in c_grid))
+    labeled_ids = [s.subject_id for s in train_panel.subjects if s.label is not None]
+    if len(labeled_ids) < 2:
+        return grid[0]
+    shuffled = list(np.random.default_rng(seed).permutation(labeled_ids))
+    if len(labeled_ids) < folds:
+        fold_sets = [shuffled[: len(shuffled) // 2]]
+    else:
+        fold_sets = [list(part) for part in np.array_split(np.array(shuffled), folds)]
+
+    best_c, best_score = None, -np.inf
+    for c in grid:
+        scores = []
+        for heldout in fold_sets:
+            heldout_set = set(heldout)
+            fold_train = LongitudinalPanel(
+                tuple(s for s in train_panel.subjects if s.subject_id not in heldout_set),
+                standardization=train_panel.standardization,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                posterior, _, _ = train_uqchi(fold_train, c)
+            eval_subjects = [s for s in train_panel.subjects if s.subject_id in heldout_set]
+            correct = sum(predict(posterior, s.terminal) == s.label for s in eval_subjects)
+            scores.append(correct / len(eval_subjects))
+        mean_score = float(np.mean(scores))
+        if mean_score > best_score:
+            best_c, best_score = c, mean_score
+    return best_c

@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
+
+from oracles import cross_validate_c_cold
 
 from healthindex.chi_baseline import ChiHyperparams
 from healthindex.harness import (
@@ -132,7 +135,8 @@ class TestCrossValidateC:
             standardization=panel.standardization,
         )
         with pytest.warns(UserWarning, match="holdout"):
-            cross_validate_c(few_labels, [1.5, 5.0], folds=10, seed=1)
+            chosen = cross_validate_c(few_labels, [1.5, 5.0], folds=10, seed=1)
+        assert chosen == cross_validate_c_cold(few_labels, [1.5, 5.0], folds=10, seed=1)
 
     def test_strong_signal_prefers_small_c(self):
         wins = 0
@@ -141,6 +145,45 @@ class TestCrossValidateC:
             chosen = cross_validate_c(panel, [1.5, 100.0], folds=5, seed=seed)
             wins += chosen == 1.5
         assert wins >= 14
+
+    # no drift signal, so the chosen c varies with the seed; 24 subjects in
+    # d=30 train with N < d, 60 subjects in d=4 with N > d
+    @pytest.mark.parametrize("d,n_per_class", [(30, 12), (4, 30)])
+    @pytest.mark.parametrize(
+        "grid", [(1.5, 3.0, 5.0, 10.0, 20.0, 100.0), (0.5, 1.0, 1.5, 5.0)]
+    )
+    def test_matches_cold_oracle(self, d, n_per_class, grid):
+        chosen, expected = [], []
+        for seed in range(10):
+            config = SimConfig(
+                d=d,
+                n_per_class=n_per_class,
+                degradation_rate=0.0,
+                informative_k=2,
+                label_observed_fraction=0.7,
+                seed=seed,
+            )
+            panel = standardize(simulate(config)[0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # c <= 1 warns
+                chosen.append(cross_validate_c(panel, grid, folds=5, seed=seed))
+            expected.append(cross_validate_c_cold(panel, grid, folds=5, seed=seed))
+        assert chosen == expected
+        assert len(set(expected)) > 1
+
+    def test_zero_terminal_visit_is_scored(self):
+        # predict() sends the tie x.v = 0 to +1; CV scores the subject instead of failing
+        panel = self.build_panel(seed=3, n=20)
+        first = panel.subjects[0]
+        zeroed = dataclasses.replace(
+            first, observations=np.vstack([first.observations[:-1], np.zeros(first.d)])
+        )
+        panel = LongitudinalPanel(
+            (zeroed,) + panel.subjects[1:], standardization=panel.standardization
+        )
+        grid = (1.5, 3.0, 100.0)
+        chosen = cross_validate_c(panel, grid, folds=5, seed=0)
+        assert chosen == cross_validate_c_cold(panel, grid, folds=5, seed=0)
 
 
 class TestExperimentSpec:

@@ -265,6 +265,42 @@ def test_solver_fixture_kkt_certificate(name):
     assert_kkt_certificate(problem, solve_dual(problem, tol=1e-8), tol=1e-8)
 
 
+def _neighbour_start(agg, c, c_prev=1.5):
+    """The optimum at c_prev, rescaled to c as cross-validation does."""
+    lam_prev = solve_dual(DualProblem(agg, c_prev)).lam
+    return lam_prev * ((1.0 - 1.0 / c) / (1.0 - 1.0 / c_prev))
+
+
+class TestWarmStart:
+    # 46x90 runs the lambda-space loop from the start; 200x20 seeds the presolve
+    @pytest.mark.parametrize("shape", [(46, 90), (200, 20)])
+    @pytest.mark.parametrize("c", [3.0, 100.0])
+    def test_neighbour_start_certifies(self, shape, c):
+        agg = np.random.default_rng(0).normal(size=shape)
+        problem = DualProblem(agg, c)
+        solution = solve_dual(problem, tol=1e-8, start=_neighbour_start(agg, c))
+        assert_kkt_certificate(problem, solution, tol=1e-8)
+
+    def test_neighbour_start_saves_iterations(self):
+        agg = np.random.default_rng(0).normal(size=(46, 90))
+        problem = DualProblem(agg, 3.0)
+        cold = solve_dual(problem)
+        warm = solve_dual(problem, start=_neighbour_start(agg, 3.0))
+        assert warm.iterations < cold.iterations
+        np.testing.assert_allclose(warm.lam, cold.lam, atol=1e-8)
+
+    def test_out_of_box_start_is_clipped(self):
+        problem = DualProblem(np.random.default_rng(1).normal(size=(4, 6)), c=2.0)
+        solution = solve_dual(problem, start=[-1.0, 5.0, 0.3, 2.0])
+        assert_kkt_certificate(problem, solution, tol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(46, 90), (200, 20)])
+    def test_wrong_length_rejected(self, shape):
+        problem = DualProblem(np.ones(shape), c=2.0)
+        with pytest.raises(DimensionMismatch):
+            solve_dual(problem, start=np.full(shape[0] + 1, 0.1))
+
+
 class TestPosterior:
     def test_zero_multipliers_recover_prior(self):
         problem = DualProblem(np.ones((2, 3)), c=2.0)
