@@ -10,12 +10,12 @@ monotonicity term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteObjective
+from .errors import DimensionMismatch, NonFiniteObjective, reject_unknown_keys
 # both model kinds share one file format, writer and loader; save_model stays
 # importable from here because perfbench's tracer wraps chi_baseline.save_model
 from .med_core import FORMAT_VERSION, save_model  # noqa: F401
@@ -42,15 +42,11 @@ class ChiHyperparams:
                 raise ValueError(f"{name} must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "lambda_var": self.lambda_var,
-            "gamma_l1": self.gamma_l1,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload) -> "ChiHyperparams":
+        reject_unknown_keys(cls, payload)
         return cls(**payload)
 
 
@@ -104,44 +100,37 @@ def _build_design(panel: LongitudinalPanel) -> _Design:
     return _Design(x_labeled, y_labeled, diffs, centered_pos, centered_neg)
 
 
-def _objective(design: _Design, w: np.ndarray, b: float, hyper: ChiHyperparams) -> float:
+def _evaluate(
+    design: _Design, w: np.ndarray, b: float, hyper: ChiHyperparams
+) -> tuple[float, np.ndarray, float]:
+    """Objective value and the subgradient of every term except the L1
+    penalty (handled by prox), from one product of each design block with w."""
+    g_w = w.copy()
+    g_b = 0.0
     # overflow on a diverged iterate is caught by the caller's finite check
     with np.errstate(over="ignore", invalid="ignore"):
         value = 0.5 * float(w @ w)
         if len(design.y_labeled):
             margins = design.y_labeled * (design.x_labeled @ w + b)
             value += hyper.beta * float(np.maximum(0.0, 1.0 - margins).sum())
+            active = margins < 1.0
+            if np.any(active):
+                ya = design.y_labeled[active]
+                g_w -= hyper.beta * (ya @ design.x_labeled[active])
+                g_b -= hyper.beta * float(ya.sum())
         if len(design.diffs):
-            value += hyper.alpha * float(np.maximum(0.0, 1.0 - design.diffs @ w).sum())
+            rises = design.diffs @ w
+            value += hyper.alpha * float(np.maximum(0.0, 1.0 - rises).sum())
+            active = rises < 1.0
+            if np.any(active):
+                g_w -= hyper.alpha * design.diffs[active].sum(axis=0)
         for centered in (design.centered_pos, design.centered_neg):
             if len(centered):
                 proj = centered @ w
                 value += 0.5 * hyper.lambda_var * float(proj @ proj) / len(centered)
+                g_w += hyper.lambda_var * (centered.T @ proj) / len(centered)
         value += hyper.gamma_l1 * float(np.abs(w).sum())
-    return value
-
-
-def _subgradient(
-    design: _Design, w: np.ndarray, b: float, hyper: ChiHyperparams
-) -> tuple[np.ndarray, float]:
-    """Subgradient of every term except the L1 penalty (handled by prox)."""
-    g_w = w.copy()
-    g_b = 0.0
-    if len(design.y_labeled):
-        margins = design.y_labeled * (design.x_labeled @ w + b)
-        active = margins < 1.0
-        if np.any(active):
-            ya = design.y_labeled[active]
-            g_w -= hyper.beta * (ya @ design.x_labeled[active])
-            g_b -= hyper.beta * float(ya.sum())
-    if len(design.diffs):
-        active = (design.diffs @ w) < 1.0
-        if np.any(active):
-            g_w -= hyper.alpha * design.diffs[active].sum(axis=0)
-    for centered in (design.centered_pos, design.centered_neg):
-        if len(centered):
-            g_w += hyper.lambda_var * (centered.T @ (centered @ w)) / len(centered)
-    return g_w, g_b
+    return value, g_w, g_b
 
 
 def _soft_threshold(w: np.ndarray, threshold: float) -> np.ndarray:
@@ -154,7 +143,7 @@ def chi_objective(
     """Exact objective value; absent classes contribute nothing."""
     if model.d != panel.d:
         raise DimensionMismatch(f"model has d={model.d}, panel has d={panel.d}")
-    return _objective(_build_design(panel), model.w, model.b, hyper)
+    return _evaluate(_build_design(panel), model.w, model.b, hyper)[0]
 
 
 def chi_train(
@@ -180,14 +169,13 @@ def chi_train(
     w = np.zeros(panel.d)
     b = 0.0
     best_w, best_b = w, b
-    best_value = _objective(design, w, b, hyper)
+    best_value, g_w, g_b = _evaluate(design, w, b, hyper)
 
     for k in range(1, steps + 1):
         step = step_size / np.sqrt(k)
-        g_w, g_b = _subgradient(design, w, b, hyper)
         w = _soft_threshold(w - step * g_w, step * hyper.gamma_l1)
         b = b - step * g_b
-        value = _objective(design, w, b, hyper)
+        value, g_w, g_b = _evaluate(design, w, b, hyper)
         if not np.isfinite(value):
             raise NonFiniteObjective(
                 f"objective became non-finite at step {k} "

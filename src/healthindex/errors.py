@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the unknown-key check for
+config dataclasses read from JSON."""
+
+import dataclasses
+from collections.abc import Mapping
 
 
 class PanelFormatError(ValueError):
@@ -46,3 +50,15 @@ class NonFiniteObjective(RuntimeError):
 
 class ZeroFeatureVector(ValueError):
     """Confidence is undefined for an all-zero feature vector."""
+
+
+def reject_unknown_keys(cls, payload) -> None:
+    """Raise ValueError unless ``payload`` is a mapping whose keys are all
+    fields of the dataclass ``cls``, so a malformed or misspelt config is a
+    validation error rather than a TypeError from the constructor."""
+    if not isinstance(payload, Mapping):
+        kind = type(payload).__name__
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {kind}")
+    unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(sorted(unknown))}")

@@ -3,17 +3,16 @@
 One run of the pipeline walks a grid of training ratios, unlabeled
 fractions, margin-rate cells and seeds; each cell trains on a masked
 subject-level split, predicts the held-out subjects at their terminal
-visits and scores accuracy over the non-abstained ones. Results aggregate
-into a deterministic table backed by a per-run log that can reproduce
-every cell.
+visits and scores accuracy over the non-abstained ones. Every run goes
+into one deterministic log, and the result table is computed from it.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
-from itertools import product
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import med_core, predictor
 from .chi_baseline import ChiHyperparams, chi_predict_panel, chi_train
+from .errors import reject_unknown_keys
 from .med_core import DualProblem, DualSolution, WeightPosterior, solve_dual
 from .panel import (
     LabelPrior,
@@ -40,6 +40,9 @@ METHOD_CHI = "chi"
 
 _SPLIT_SEED_OFFSET = 500_000
 _CV_SEED_OFFSET = 900_000
+
+# the run-log fields that identify a result-table cell, in ResultRow order
+_KEY_FIELDS = ("method", "label_ratio", "train_ratio", "rejection_rate", "c")
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +107,9 @@ def train_uqchi(
     c: float,
     tol: float = med_core.DEFAULT_TOL,
     max_iter: int = med_core.DEFAULT_MAX_ITER,
-    unobserved_prior: float = 0.5,
 ) -> tuple[WeightPosterior, DualSolution, DualProblem]:
     """Aggregate the panel, solve the dual and return the weight posterior."""
-    prior = LabelPrior.from_panel(train_panel, unobserved=unobserved_prior)
-    aggs = aggregates(train_panel, prior)
+    aggs = aggregates(train_panel, LabelPrior.from_panel(train_panel))
     problem = DualProblem(aggregate_matrix(aggs), c)
     solution = solve_dual(problem, tol=tol, max_iter=max_iter)
     return med_core.posterior(solution, problem), solution, problem
@@ -195,57 +196,6 @@ def cross_validate_c(
     return best_c
 
 
-def tune_chi_hyperparams(
-    train_panel: LongitudinalPanel,
-    grid: Sequence[float] = (0.1, 1.0, 10.0),
-    folds: int = 10,
-    seed: int = 0,
-    steps: int = 400,
-    step_size: float = 0.01,
-) -> ChiHyperparams:
-    """Cross-validate the full product grid over the four term weights.
-
-    Ties prefer the first candidate in sorted order (smallest weights).
-    """
-    labeled_ids = [s.subject_id for s in train_panel.subjects if s.label is not None]
-    if len(labeled_ids) < 2:
-        raise ValueError("tuning needs at least two labeled subjects")
-    fold_sets = _fold_sets(labeled_ids, min(folds, len(labeled_ids)), seed)
-
-    values = sorted(set(float(g) for g in grid))
-    best, best_score = None, -np.inf
-    for alpha, beta, lambda_var, gamma_l1 in product(values, repeat=4):
-        hyper = ChiHyperparams(alpha, beta, lambda_var, gamma_l1)
-        scores = []
-        for heldout_set in fold_sets:
-            train_subjects = tuple(
-                s for s in train_panel.subjects if s.subject_id not in heldout_set
-            )
-            if not any(s.label is not None for s in train_subjects):
-                continue
-            fold_train = LongitudinalPanel(
-                train_subjects, standardization=train_panel.standardization
-            )
-            model = chi_train(fold_train, hyper, steps=steps, step_size=step_size)
-            truth = {
-                s.subject_id: s.label
-                for s in train_panel.subjects
-                if s.subject_id in heldout_set
-            }
-            eval_panel = LongitudinalPanel(
-                tuple(s for s in train_panel.subjects if s.subject_id in heldout_set),
-                standardization=train_panel.standardization,
-            )
-            preds = chi_predict_panel(model, eval_panel)
-            result = evaluate(preds, truth)
-            if result.accuracy is not None:
-                scores.append(result.accuracy)
-        mean_score = float(np.mean(scores)) if scores else -np.inf
-        if mean_score > best_score:
-            best, best_score = hyper, mean_score
-    return best
-
-
 # ---------------------------------------------------------------------------
 # experiment specification
 
@@ -309,36 +259,16 @@ class ExperimentSpec:
             raise ValueError(f"baselines must be drawn from uqchi/chi, got {self.baselines}")
 
     def to_dict(self) -> dict:
-        return {
-            "sim": None if self.sim is None else self.sim.to_dict(),
-            "panel_csv": self.panel_csv,
-            "c_grid": list(self.c_grid),
-            "c_policy": self.c_policy,
-            "fixed_c": self.fixed_c,
-            "label_ratios": list(self.label_ratios),
-            "train_ratios": list(self.train_ratios),
-            "rejection_rates": list(self.rejection_rates),
-            "n_seeds": self.n_seeds,
-            "cv_folds": self.cv_folds,
-            "baselines": list(self.baselines),
-            "chi_hyper": self.chi_hyper.to_dict(),
-            "chi_steps": self.chi_steps,
-            "chi_step_size": self.chi_step_size,
-            "solver_tol": self.solver_tol,
-            "solver_max_iter": self.solver_max_iter,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ExperimentSpec":
+        reject_unknown_keys(cls, payload)
         payload = dict(payload)
         if payload.get("sim") is not None:
             payload["sim"] = SimConfig.from_dict(payload["sim"])
         if payload.get("chi_hyper") is not None:
             payload["chi_hyper"] = ChiHyperparams.from_dict(payload["chi_hyper"])
-        for key in ("c_grid", "label_ratios", "train_ratios", "rejection_rates", "baselines"):
-            if payload.get(key) is not None:
-                payload[key] = tuple(payload[key])
         return cls(**payload)
 
     @classmethod
@@ -438,41 +368,94 @@ def _source_panel(
     return simulate(sim)
 
 
+def _uqchi_cell(
+    spec: ExperimentSpec,
+    seed_index: int,
+    train_s: LongitudinalPanel,
+    test_s: LongitudinalPanel,
+    truth: Mapping[str, int],
+    scored_ids: set[str],
+    c_value: float | None,
+) -> list[tuple[float | None, int, float]]:
+    """(accuracy, abstained, chosen_c) per rejection rate for one c cell;
+    ``c_value=None`` cross-validates c on the training split."""
+    if c_value is None:
+        chosen_c = cross_validate_c(
+            train_s,
+            spec.c_grid,
+            spec.cv_folds,
+            seed=spec.seed + seed_index + _CV_SEED_OFFSET,
+            tol=spec.solver_tol,
+            max_iter=spec.solver_max_iter,
+        )
+    else:
+        chosen_c = c_value
+    posterior, _, _ = train_uqchi(
+        train_s, chosen_c, tol=spec.solver_tol, max_iter=spec.solver_max_iter
+    )
+    records = [r for r in predict_panel(posterior, test_s) if r.subject_id in scored_ids]
+    outcomes = []
+    for rate in spec.rejection_rates:
+        result = evaluate(records_to_labels(reject_by_rate(records, rate)), truth)
+        outcomes.append((result.accuracy, result.n_abstained, chosen_c))
+    return outcomes
+
+
+def _chi_cell(
+    spec: ExperimentSpec,
+    train_s: LongitudinalPanel,
+    test_s: LongitudinalPanel,
+    truth: Mapping[str, int],
+    scored_ids: set[str],
+) -> list[tuple[float | None, int, None]]:
+    """The one (accuracy, abstained, None) outcome of the chi baseline."""
+    model = chi_train(
+        train_s, spec.chi_hyper, steps=spec.chi_steps, step_size=spec.chi_step_size
+    )
+    preds = {
+        sid: label
+        for sid, label in chi_predict_panel(model, test_s).items()
+        if sid in scored_ids
+    }
+    result = evaluate(preds, truth)
+    return [(result.accuracy, result.n_abstained, None)]
+
+
+def _table(runs: Sequence[dict]) -> ResultTable:
+    """One row per cell key, in first-appearance order, aggregated over seeds."""
+    groups: dict[tuple, list[dict]] = {}
+    for run in runs:
+        groups.setdefault(tuple(run[f] for f in _KEY_FIELDS), []).append(run)
+    rows = []
+    for key, group in groups.items():
+        ok = [run for run in group if run["error"] is None]
+        accs = [run["accuracy"] for run in ok if run["accuracy"] is not None]
+        abstained = [run["abstained"] for run in ok]
+        std_acc = (
+            float(np.std(accs, ddof=1)) if len(accs) > 1 else (0.0 if accs else None)
+        )
+        rows.append(
+            ResultRow(
+                *key,
+                mean_accuracy=float(np.mean(accs)) if accs else None,
+                std_accuracy=std_acc,
+                n_seeds=len(accs),
+                mean_abstained=float(np.mean(abstained)) if abstained else None,
+                n_failed=len(group) - len(ok),
+            )
+        )
+    return ResultTable(tuple(rows))
+
+
 def run_pipeline(spec: ExperimentSpec) -> PipelineResult:
-    """Walk the grid; aggregate per-cell accuracy over seeds.
+    """Walk the grid, log one run per cell key and seed, and compute the
+    table from that log.
 
-    A failing cell is logged with its coordinates and skipped, never fatal.
-    Output is deterministic in the spec: identical specs give byte-identical
-    tables and logs.
+    A failing cell is logged with its coordinates and error under every key
+    it covers, never fatal. Output is deterministic in the spec: identical
+    specs give byte-identical tables and logs.
     """
-    cells: dict[tuple, dict] = {}
     runs: list[dict] = []
-
-    def record(key, seed_index, accuracy, abstained, chosen_c=None, error=None):
-        cell = cells.setdefault(
-            key, {"accuracies": [], "abstained": [], "n_failed": 0}
-        )
-        runs.append(
-            {
-                "method": key[0],
-                "label_ratio": key[1],
-                "train_ratio": key[2],
-                "rejection_rate": key[3],
-                "c": key[4],
-                "seed_index": seed_index,
-                "chosen_c": chosen_c,
-                "accuracy": accuracy,
-                "abstained": abstained,
-                "error": error,
-            }
-        )
-        if error is not None:
-            cell["n_failed"] += 1
-        else:
-            if accuracy is not None:
-                cell["accuracies"].append(accuracy)
-            cell["abstained"].append(abstained)
-
     for train_ratio in spec.train_ratios:
         for label_ratio in spec.label_ratios:
             for i in range(spec.n_seeds):
@@ -489,104 +472,35 @@ def run_pipeline(spec: ExperimentSpec) -> PipelineResult:
                 scored_ids = {
                     s.subject_id for s in test_s.subjects if s.subject_id in truth
                 }
+                split = (train_s, test_s, truth, scored_ids)
 
+                cells = []
                 if METHOD_UQCHI in spec.baselines:
                     for c_key, c_value in _c_cells(spec):
-                        base = (METHOD_UQCHI, label_ratio, train_ratio)
-                        try:
-                            if c_value is None:
-                                chosen_c = cross_validate_c(
-                                    train_s,
-                                    spec.c_grid,
-                                    spec.cv_folds,
-                                    seed=spec.seed + i + _CV_SEED_OFFSET,
-                                    tol=spec.solver_tol,
-                                    max_iter=spec.solver_max_iter,
-                                )
-                            else:
-                                chosen_c = c_value
-                            posterior, _, _ = train_uqchi(
-                                train_s,
-                                chosen_c,
-                                tol=spec.solver_tol,
-                                max_iter=spec.solver_max_iter,
-                            )
-                            records = [
-                                r
-                                for r in predict_panel(posterior, test_s)
-                                if r.subject_id in scored_ids
-                            ]
-                            for rate in spec.rejection_rates:
-                                rejected = reject_by_rate(records, rate)
-                                result = evaluate(records_to_labels(rejected), truth)
-                                record(
-                                    base + (rate, c_key),
-                                    seed_index=i,
-                                    accuracy=result.accuracy,
-                                    abstained=result.n_abstained,
-                                    chosen_c=chosen_c,
-                                )
-                        except Exception as exc:  # noqa: BLE001 - cell isolation
-                            for rate in spec.rejection_rates:
-                                record(
-                                    base + (rate, c_key),
-                                    seed_index=i,
-                                    accuracy=None,
-                                    abstained=None,
-                                    error=f"{type(exc).__name__}: {exc}",
-                                )
-
+                        keys = [
+                            (METHOD_UQCHI, label_ratio, train_ratio, rate, c_key)
+                            for rate in spec.rejection_rates
+                        ]
+                        cells.append((keys, partial(_uqchi_cell, spec, i, *split, c_value)))
                 if METHOD_CHI in spec.baselines:
-                    key = (METHOD_CHI, label_ratio, train_ratio, 0.0, "")
-                    try:
-                        model = chi_train(
-                            train_s,
-                            spec.chi_hyper,
-                            steps=spec.chi_steps,
-                            step_size=spec.chi_step_size,
-                        )
-                        preds = {
-                            sid: label
-                            for sid, label in chi_predict_panel(model, test_s).items()
-                            if sid in scored_ids
-                        }
-                        result = evaluate(preds, truth)
-                        record(
-                            key,
-                            seed_index=i,
-                            accuracy=result.accuracy,
-                            abstained=result.n_abstained,
-                        )
-                    except Exception as exc:  # noqa: BLE001 - cell isolation
-                        record(
-                            key,
-                            seed_index=i,
-                            accuracy=None,
-                            abstained=None,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
+                    keys = [(METHOD_CHI, label_ratio, train_ratio, 0.0, "")]
+                    cells.append((keys, partial(_chi_cell, spec, *split)))
 
-    rows = []
-    for key, cell in cells.items():
-        method, label_ratio, train_ratio, rate, c_key = key
-        accs = cell["accuracies"]
-        abstained = [a for a in cell["abstained"] if a is not None]
-        mean_acc = float(np.mean(accs)) if accs else None
-        std_acc = (
-            float(np.std(accs, ddof=1)) if len(accs) > 1 else (0.0 if accs else None)
-        )
-        rows.append(
-            ResultRow(
-                method=method,
-                label_ratio=label_ratio,
-                train_ratio=train_ratio,
-                rejection_rate=rate,
-                c_key=c_key,
-                mean_accuracy=mean_acc,
-                std_accuracy=std_acc,
-                n_seeds=len(accs),
-                mean_abstained=float(np.mean(abstained)) if abstained else None,
-                n_failed=cell["n_failed"],
-            )
-        )
-    return PipelineResult(table=ResultTable(tuple(rows)), runs=tuple(runs))
+                for keys, cell in cells:
+                    try:
+                        outcomes, error = cell(), None
+                    except Exception as exc:  # noqa: BLE001 - cell isolation
+                        outcomes = [(None, None, None)] * len(keys)
+                        error = f"{type(exc).__name__}: {exc}"
+                    for key, (accuracy, abstained, chosen_c) in zip(keys, outcomes):
+                        runs.append(
+                            dict(
+                                zip(_KEY_FIELDS, key),
+                                seed_index=i,
+                                chosen_c=chosen_c,
+                                accuracy=accuracy,
+                                abstained=abstained,
+                                error=error,
+                            )
+                        )
+    return PipelineResult(table=_table(runs), runs=tuple(runs))

@@ -115,12 +115,19 @@ class PredictionRecord:
 
 
 def predict_subject(posterior: WeightPosterior, series: SubjectSeries) -> PredictionRecord:
+    """Decision at the terminal visit. An all-zero terminal visit carries no
+    evidence: it gets the tie label +1 and confidence 0.5, the lowest
+    possible, so rate-based rejection abstains on it first."""
     traj = index_trajectory(posterior, series)
+    try:
+        conf = confidence(posterior, series.terminal)
+    except ZeroFeatureVector:
+        conf = 0.5
     return PredictionRecord(
         subject_id=series.subject_id,
         trajectory=traj,
         predicted_label=predict(posterior, series.terminal),
-        confidence=confidence(posterior, series.terminal),
+        confidence=conf,
     )
 
 

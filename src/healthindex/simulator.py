@@ -10,11 +10,12 @@ hidden otherwise; the full truth is returned separately for scoring.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .errors import reject_unknown_keys
 from .panel import (
     NEGATIVE,
     POSITIVE,
@@ -87,24 +88,11 @@ class SimConfig:
         return tuple(range(self.informative_k))
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n_per_class": self.n_per_class,
-            "normal_proportion": self.normal_proportion,
-            "visits_min": self.visits_min,
-            "visits_max": self.visits_max,
-            "degradation_rate": self.degradation_rate,
-            "noise_sigmas": None if self.noise_sigmas is None else list(self.noise_sigmas),
-            "informative_k": self.informative_k,
-            "label_observed_fraction": self.label_observed_fraction,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimConfig":
-        payload = dict(payload)
-        if payload.get("noise_sigmas") is not None:
-            payload["noise_sigmas"] = tuple(payload["noise_sigmas"])
+        reject_unknown_keys(cls, payload)
         return cls(**payload)
 
 

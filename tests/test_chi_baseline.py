@@ -121,9 +121,9 @@ class TestObjective:
                 return chi_objective(ChiModel(p[:-1], p[-1]), panel, hyper)
 
             numeric = central_diff_gradient(full, point, h=1e-7)
-            from healthindex.chi_baseline import _build_design, _subgradient
+            from healthindex.chi_baseline import _build_design, _evaluate
 
-            g_w, g_b = _subgradient(_build_design(panel), w, b, hyper)
+            _, g_w, g_b = _evaluate(_build_design(panel), w, b, hyper)
             analytic = np.concatenate([g_w + hyper.gamma_l1 * np.sign(w), [g_b]])
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-5)
             checked += 1

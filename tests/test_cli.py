@@ -1,6 +1,11 @@
+import dataclasses
 import json
 
+import numpy as np
+import pytest
+
 from healthindex.cli import main
+from healthindex.panel import LongitudinalPanel, load_panel, write_panel
 
 
 def run(args):
@@ -131,6 +136,25 @@ class TestTrainPredictEvaluate:
         assert report["n_unscored"] == 12
         assert report["n_accepted"] == 12
 
+    def test_zero_terminal_visit_is_predicted(self, tmp_path):
+        source = load_panel(simulate_panel(tmp_path, **{"--d": 3}))
+        first = source.subjects[0]
+        zeroed = dataclasses.replace(
+            first, observations=np.vstack([first.observations[:-1], np.zeros(3)])
+        )
+        panel = tmp_path / "zeroed.csv"
+        write_panel(LongitudinalPanel((zeroed,) + source.subjects[1:]), panel)
+        model = tmp_path / "m.json"
+        preds = tmp_path / "p.csv"
+        assert run(["train", "--panel", panel, "--out", model, "--no-standardize"]) == 0
+        assert run(
+            ["predict", "--model", model, "--panel", panel, "--out", preds,
+             "--reject-rate", 0.05]
+        ) == 0
+        rows = {line.split(",")[0]: line.split(",") for line in preds.read_text().splitlines()}
+        assert rows[first.subject_id][3:] == ["0.0", "0", "0.5", "1"]
+        assert sum(row[6] == "1" for row in rows.values()) == 1
+
     def test_missing_panel_exits_2(self, tmp_path):
         assert run(
             ["train", "--panel", tmp_path / "nope.csv", "--out", tmp_path / "m.json"]
@@ -193,3 +217,19 @@ class TestSweep:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"label_ratios": [2.0]}))
         assert run(["sweep", "--config", config, "--out-dir", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize(
+        "payload,named",
+        [
+            ({"n_seed": 2}, "ExperimentSpec keys: n_seed"),
+            ({"sim": {"bogus": 1}}, "SimConfig keys: bogus"),
+            ({"chi_hyper": {"alpah": 1.0, "zeta": 2}}, "ChiHyperparams keys: alpah, zeta"),
+            ([["n_seeds", 2]], "ExperimentSpec must be a JSON object"),
+            ({"sim": 5}, "SimConfig must be a JSON object"),
+        ],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, payload, named):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps(payload))
+        assert run(["sweep", "--config", config, "--out-dir", tmp_path / "o"]) == 2
+        assert named in capsys.readouterr().err

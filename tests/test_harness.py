@@ -17,7 +17,6 @@ from healthindex.harness import (
     evaluate,
     run_pipeline,
     train_uqchi,
-    tune_chi_hyperparams,
 )
 from healthindex.panel import LongitudinalPanel, SubjectSeries, standardize
 from healthindex.simulator import SimConfig, simulate
@@ -284,6 +283,30 @@ class TestRunPipeline:
         errors = [r["error"] for r in result.runs]
         assert all(e is not None for e in errors)
 
+    def test_failed_uqchi_cells_recorded_not_fatal(self):
+        # a tolerance of 1e-300 lies below the float floor of the projected
+        # gradient, so every uqchi solve on this spec raises NonConvergence;
+        # chi does not use the dual solver
+        spec = tiny_spec(solver_tol=1e-300)
+        result = run_pipeline(spec)
+        uq_runs = [r for r in result.runs if r["method"] == "uqchi"]
+        assert len(uq_runs) == spec.n_seeds * len(spec.rejection_rates)
+        for run in uq_runs:
+            assert run["error"].startswith("NonConvergence")
+            assert run["chosen_c"] is None and run["accuracy"] is None
+        for i in range(spec.n_seeds):
+            rates = [r["rejection_rate"] for r in uq_runs if r["seed_index"] == i]
+            assert rates == list(spec.rejection_rates)
+        uq_rows = [r for r in result.table.rows if r.method == "uqchi"]
+        assert len(uq_rows) == len(spec.rejection_rates)
+        for row in uq_rows:
+            assert row.n_failed == spec.n_seeds and row.n_seeds == 0
+            assert row.mean_accuracy is None and row.std_accuracy is None
+            assert row.mean_abstained is None
+        (chi_row,) = [r for r in result.table.rows if r.method == "chi"]
+        (expected,) = [r for r in run_pipeline(tiny_spec()).table.rows if r.method == "chi"]
+        assert chi_row == expected and chi_row.n_failed == 0
+
     def test_table_recomputable_from_runs(self):
         spec = tiny_spec(n_seeds=4)
         result = run_pipeline(spec)
@@ -338,24 +361,6 @@ class TestNoSignalFloor:
         result = run_pipeline(spec)
         for row in result.table.rows:
             assert 0.4 <= row.mean_accuracy <= 0.6, (row.method, row.mean_accuracy)
-
-
-class TestTuneChiHyperparams:
-    def test_returns_member_of_grid(self):
-        config = SimConfig(
-            d=5,
-            n_per_class=8,
-            degradation_rate=0.8,
-            informative_k=2,
-            label_observed_fraction=1.0,
-            seed=13,
-        )
-        panel, _ = simulate(config)
-        hyper = tune_chi_hyperparams(
-            standardize(panel), grid=(0.1, 1.0), folds=3, seed=0, steps=60, step_size=0.05
-        )
-        for value in (hyper.alpha, hyper.beta, hyper.lambda_var, hyper.gamma_l1):
-            assert value in (0.1, 1.0)
 
 
 class TestDefaultSimConfig:

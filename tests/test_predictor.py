@@ -5,12 +5,13 @@ import pytest
 
 from healthindex.errors import DimensionMismatch, ZeroFeatureVector
 from healthindex.med_core import WeightPosterior
-from healthindex.panel import SubjectSeries
+from healthindex.panel import LongitudinalPanel, SubjectSeries
 from healthindex.predictor import (
     PredictionRecord,
     confidence,
     index_trajectory,
     predict,
+    predict_panel,
     predict_subject,
     read_prediction_labels,
     reject_by_rate,
@@ -192,6 +193,25 @@ class TestRejectByRate:
                 accs.append(np.mean(kept))
             deltas.append(accs[1] - accs[0])
         assert np.mean(deltas) > 0
+
+
+class TestPredictPanel:
+    def test_zero_terminal_visit_gets_tie_label_and_least_confidence(self):
+        post = WeightPosterior(np.array([1.0, -0.5]))
+        panel = LongitudinalPanel(
+            (
+                series([[1.0, 0.0], [2.0, 1.0]], sid="a"),
+                series([[1.0, 1.0], [0.0, 0.0]], sid="b"),
+                series([[-3.0, 0.5]], sid="c"),
+            )
+        )
+        records = predict_panel(post, panel)
+        zero = records[1]
+        assert (zero.predicted_label, zero.confidence) == (1, 0.5)
+        assert zero.index_std == 0.0
+        assert all(r.confidence > 0.5 for r in records if r is not zero)
+        rejected = [r.subject_id for r in reject_by_rate(records, 0.34) if r.abstained]
+        assert rejected == ["b"]
 
 
 class TestPredictionCsv:
