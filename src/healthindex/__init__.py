@@ -40,15 +40,11 @@ from .med_core import (
     solve_dual,
 )
 from .panel import (
-    CsvSchema,
-    LabelPrior,
     LongitudinalPanel,
     Standardization,
-    SubjectAggregate,
     SubjectSeries,
     aggregates,
     apply_standardization,
-    expected_label,
     fit_standardization,
     load_panel,
     split_and_mask,
@@ -72,7 +68,6 @@ __all__ = [
     "ChiHyperparams",
     "ChiModel",
     "ConflictingLabels",
-    "CsvSchema",
     "DegenerateProblem",
     "DimensionMismatch",
     "DomainError",
@@ -80,7 +75,6 @@ __all__ = [
     "DualSolution",
     "DuplicateTimeIndex",
     "ExperimentSpec",
-    "LabelPrior",
     "LongitudinalPanel",
     "NonConvergence",
     "NonFiniteObjective",
@@ -91,7 +85,6 @@ __all__ = [
     "ResultTable",
     "SimConfig",
     "Standardization",
-    "SubjectAggregate",
     "SubjectSeries",
     "WeightPosterior",
     "ZeroFeatureVector",
@@ -105,7 +98,6 @@ __all__ = [
     "dual_gradient",
     "dual_objective",
     "evaluate",
-    "expected_label",
     "fit_standardization",
     "index_trajectory",
     "load_panel",

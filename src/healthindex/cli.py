@@ -7,7 +7,6 @@ Subcommands: simulate, train, predict, evaluate, sweep. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -15,7 +14,7 @@ from pathlib import Path
 
 from . import chi_baseline, harness, med_core, predictor
 from .chi_baseline import ChiHyperparams
-from .errors import NonConvergence, NonFiniteObjective
+from .errors import DimensionMismatch, NonConvergence, NonFiniteObjective
 from .panel import (
     Standardization,
     apply_standardization,
@@ -137,7 +136,20 @@ def _add_predict_parser(subparsers):
 
 def _cmd_predict(args) -> int:
     payload = med_core.load_model(args.model)
+    kind = payload.get("model")
+    if kind == "med":
+        model = med_core.posterior_from_payload(payload)
+    elif kind == "chi":
+        if args.reject_rate is not None or args.reject_threshold is not None:
+            raise ValueError("rejection options need a model with confidence scores")
+        model = chi_baseline.model_from_payload(payload)
+    else:
+        raise ValueError(f"unknown model kind {kind!r} in {args.model}")
     panel = load_panel(args.panel)
+    if model.d != panel.d:
+        raise DimensionMismatch(
+            f"model {args.model} has d={model.d}, panel {args.panel} has d={panel.d}"
+        )
     standardization = (
         Standardization.from_dict(payload["standardization"])
         if payload.get("standardization")
@@ -149,36 +161,25 @@ def _cmd_predict(args) -> int:
         else apply_standardization(panel, standardization)
     )
 
-    kind = payload.get("model")
     if kind == "med":
-        posterior = med_core.posterior_from_payload(payload)
-        records = predictor.predict_panel(posterior, scored)
+        records = predictor.predict_panel(model, scored)
         if args.reject_rate is not None:
             records = predictor.reject_by_rate(records, args.reject_rate)
         elif args.reject_threshold is not None:
             records = predictor.reject_by_threshold(records, args.reject_threshold)
-        predictor.write_predictions(records, args.out)
-    elif kind == "chi":
-        if args.reject_rate is not None or args.reject_threshold is not None:
-            raise ValueError("rejection options need a model with confidence scores")
-        model = chi_baseline.model_from_payload(payload)
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(predictor.PREDICTION_COLUMNS)
-            for s in scored.subjects:
-                writer.writerow(
-                    [
-                        s.subject_id,
-                        int(s.times[-1]),
-                        repr(float(s.terminal @ model.w)),
-                        "",
-                        chi_baseline.chi_predict(model, s.terminal),
-                        "",
-                        0,
-                    ]
-                )
     else:
-        raise ValueError(f"unknown model kind {kind!r} in {args.model}")
+        records = [
+            predictor.PredictionRecord(
+                subject_id=s.subject_id,
+                t_last=int(s.times[-1]),
+                index_mean=float(s.terminal @ model.w),
+                index_std=None,
+                predicted_label=chi_baseline.chi_predict(model, s.terminal),
+                confidence=None,
+            )
+            for s in scored.subjects
+        ]
+    predictor.write_predictions(records, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

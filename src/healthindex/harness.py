@@ -23,9 +23,7 @@ from .chi_baseline import ChiHyperparams, chi_predict_panel, chi_train
 from .errors import reject_unknown_keys
 from .med_core import DualProblem, DualSolution, WeightPosterior, solve_dual
 from .panel import (
-    LabelPrior,
     LongitudinalPanel,
-    aggregate_matrix,
     aggregates,
     apply_standardization,
     fit_standardization,
@@ -109,8 +107,7 @@ def train_uqchi(
     max_iter: int = med_core.DEFAULT_MAX_ITER,
 ) -> tuple[WeightPosterior, DualSolution, DualProblem]:
     """Aggregate the panel, solve the dual and return the weight posterior."""
-    aggs = aggregates(train_panel, LabelPrior.from_panel(train_panel))
-    problem = DualProblem(aggregate_matrix(aggs), c)
+    problem = DualProblem(aggregates(train_panel), c)
     solution = solve_dual(problem, tol=tol, max_iter=max_iter)
     return med_core.posterior(solution, problem), solution, problem
 
@@ -168,7 +165,7 @@ def cross_validate_c(
         warnings.warn("fewer than two labeled subjects: returning smallest c")
         return grid[0]
 
-    matrix = aggregate_matrix(aggregates(train_panel, LabelPrior.from_panel(train_panel)))
+    matrix = aggregates(train_panel)
     terminals = np.array([s.terminal for s in subjects])
     labels = np.array([0 if s.label is None else s.label for s in subjects])
     scores = [[] for _ in grid]
@@ -203,6 +200,10 @@ def cross_validate_c(
 C_POLICY_CV = "cv"
 C_POLICY_FIXED = "fixed"
 C_POLICY_SWEEP = "sweep"
+
+
+# ExperimentSpec fields that must hold a plain int (a bool is refused)
+_INT_FIELDS = ("n_seeds", "cv_folds", "chi_steps", "solver_max_iter", "seed")
 
 
 def default_sim_config() -> SimConfig:
@@ -240,6 +241,12 @@ class ExperimentSpec:
             self, "rejection_rates", tuple(float(r) for r in self.rejection_rates)
         )
         object.__setattr__(self, "baselines", tuple(self.baselines))
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.chi_hyper, ChiHyperparams):
+            raise ValueError(f"chi_hyper must be a ChiHyperparams object, got {self.chi_hyper!r}")
         if self.panel_csv is None and self.sim is None:
             raise ValueError("need a data source: sim config or panel CSV")
         if not self.c_grid or not self.label_ratios or not self.train_ratios:

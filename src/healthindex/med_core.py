@@ -420,6 +420,9 @@ def save_model(path, payload: dict) -> None:
 
 def load_model(path) -> dict:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        kind = type(payload).__name__
+        raise ValueError(f"{path}: a model file must hold a JSON object, got {kind}")
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format: {payload.get('format_version')}")
     return payload

@@ -3,7 +3,7 @@
 A panel is a collection of per-subject time series with partially observed
 binary labels. This module owns CSV ingestion and emission, feature
 standardization, subject-level train/test splitting with label masking,
-and the per-subject aggregate vectors consumed by the dual solver.
+and the per-subject aggregate matrix consumed by the dual solver.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -27,6 +27,8 @@ POSITIVE = 1
 NEGATIVE = -1
 
 _LABEL_TOKENS = {"1": POSITIVE, "+1": POSITIVE, "-1": NEGATIVE, "": None}
+# panel CSV columns before the features: subject id, visit time, label
+_RESERVED_COLUMNS = ("subject_id", "t", "label")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -180,72 +182,25 @@ class LongitudinalPanel:
         return pos, neg, self.n_subjects - pos - neg
 
 
-@dataclass(frozen=True)
-class LabelPrior:
-    """Per-subject probability that the label is positive."""
+def aggregates(panel: LongitudinalPanel) -> np.ndarray:
+    """The (N, d) matrix of per-subject vectors driving the dual multipliers,
+    one row per subject in panel order.
 
-    probabilities: Mapping[str, float]
-
-    def __post_init__(self):
-        probs = dict(self.probabilities)
-        for sid, p in probs.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"prior for {sid} outside [0, 1]: {p}")
-        object.__setattr__(self, "probabilities", probs)
-
-    @classmethod
-    def from_panel(cls, panel: LongitudinalPanel, unobserved: float = 0.5) -> "LabelPrior":
-        """Observed labels map to 0/1 certainty, missing ones to `unobserved`."""
-        probs = {}
-        for s in panel.subjects:
-            if s.label == POSITIVE:
-                probs[s.subject_id] = 1.0
-            elif s.label == NEGATIVE:
-                probs[s.subject_id] = 0.0
-            else:
-                probs[s.subject_id] = unobserved
-        return cls(probs)
-
-
-def expected_label(prior: LabelPrior, subject_id: str) -> float:
-    """Expected label in [-1, 1]: 2 * P(y = +1) - 1."""
-    if subject_id not in prior.probabilities:
-        raise KeyError(f"no prior entry for subject {subject_id}")
-    return 2.0 * prior.probabilities[subject_id] - 1.0
-
-
-@dataclass(frozen=True)
-class SubjectAggregate:
-    """Per-subject constraint vector: expected label times the terminal visit
-    plus the summed consecutive-visit differences."""
-
-    subject_id: str
-    vector: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", _frozen_array(self.vector))
-
-
-def aggregates(panel: LongitudinalPanel, prior: LabelPrior) -> list[SubjectAggregate]:
-    """Aggregate each subject into the vector driving its dual multiplier.
-
+    A row is the expected label times the terminal visit plus the summed
+    consecutive-visit differences. The expected label is 2 P(y = +1) - 1:
+    +1 or -1 for an observed label, 0 for a missing one (P(y = +1) = 0.5).
     The monotonicity part is accumulated from explicit per-step differences
     (first to last), which telescopes to terminal - first observation.
     Single-visit subjects contribute no monotonicity term.
     """
-    out = []
+    rows = []
     for s in panel.subjects:
-        ybar = expected_label(prior, s.subject_id)
+        ybar = 0.0 if s.label is None else float(s.label)
         vec = ybar * s.terminal
         if s.n_visits > 1:
             vec = vec + s.visit_diffs().sum(axis=0)
-        out.append(SubjectAggregate(s.subject_id, vec))
-    return out
-
-
-def aggregate_matrix(aggs: Sequence[SubjectAggregate]) -> np.ndarray:
-    """Stack aggregate vectors into an (N, d) matrix in input order."""
-    return np.vstack([a.vector for a in aggs])
+        rows.append(vec)
+    return np.vstack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +244,8 @@ def save_standardization(standardization: Standardization, path) -> None:
     Path(path).write_text(json.dumps(standardization.to_dict(), indent=2) + "\n")
 
 
-def load_standardization(path) -> Standardization:
-    return Standardization.from_dict(json.loads(Path(path).read_text()))
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion / emission
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column mapping for long-format panel CSVs.
-
-    ``features=None`` takes every non-reserved column, in header order.
-    """
-
-    subject_id: str = "subject_id"
-    time: str = "t"
-    label: str = "label"
-    features: tuple[str, ...] | None = None
 
 
 def _parse_label(token: str, subject_id: str) -> int | None:
@@ -319,14 +257,14 @@ def _parse_label(token: str, subject_id: str) -> int | None:
     )
 
 
-def load_panel(path, schema: CsvSchema | None = None) -> LongitudinalPanel:
+def load_panel(path) -> LongitudinalPanel:
     """Read a long-format CSV (one row per subject visit) into a panel.
 
-    Rows are grouped by subject in first-appearance order and sorted by time.
-    Duplicate (subject, t) pairs, conflicting labels, non-numeric features and
-    ragged rows are rejected.
+    The header names ``subject_id``, ``t`` and ``label``; every other column
+    is a feature, in header order. Rows are grouped by subject in
+    first-appearance order and sorted by time. Duplicate (subject, t) pairs,
+    conflicting labels, non-numeric features and ragged rows are rejected.
     """
-    schema = schema or CsvSchema()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -336,25 +274,13 @@ def load_panel(path, schema: CsvSchema | None = None) -> LongitudinalPanel:
         rows = list(reader)
 
     header = [h.strip() for h in header]
-    for col in (schema.subject_id, schema.time, schema.label):
+    for col in _RESERVED_COLUMNS:
         if col not in header:
             raise PanelFormatError(f"{path}: missing column {col!r}")
-    if schema.features is None:
-        reserved = {schema.subject_id, schema.time, schema.label}
-        feature_cols = [h for h in header if h not in reserved]
-    else:
-        feature_cols = list(schema.features)
-        for col in feature_cols:
-            if col not in header:
-                raise PanelFormatError(f"{path}: missing feature column {col!r}")
-    if not feature_cols:
+    sid_i, t_i, label_i = (header.index(col) for col in _RESERVED_COLUMNS)
+    feat_i = [i for i, h in enumerate(header) if h not in _RESERVED_COLUMNS]
+    if not feat_i:
         raise PanelFormatError(f"{path}: no feature columns")
-
-    idx = {name: header.index(name) for name in header}
-    sid_i = idx[schema.subject_id]
-    t_i = idx[schema.time]
-    label_i = idx[schema.label]
-    feat_i = [idx[c] for c in feature_cols]
 
     by_subject: dict[str, dict] = {}
     for row_no, row in enumerate(rows, start=2):
@@ -401,18 +327,12 @@ def load_panel(path, schema: CsvSchema | None = None) -> LongitudinalPanel:
     return LongitudinalPanel(tuple(subjects))
 
 
-def write_panel(panel: LongitudinalPanel, path, schema: CsvSchema | None = None) -> None:
-    """Emit the long-format CSV. Floats use repr for byte-stable round trips."""
-    schema = schema or CsvSchema()
-    if schema.features is None:
-        feature_cols = [f"f{k + 1}" for k in range(panel.d)]
-    else:
-        feature_cols = list(schema.features)
-        if len(feature_cols) != panel.d:
-            raise DimensionMismatch("schema features length != panel dimension")
+def write_panel(panel: LongitudinalPanel, path) -> None:
+    """Emit the long-format CSV with header ``subject_id,t,label,f1..fd``.
+    Floats use repr for byte-stable round trips."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([schema.subject_id, schema.time, schema.label] + feature_cols)
+        writer.writerow(list(_RESERVED_COLUMNS) + [f"f{k + 1}" for k in range(panel.d)])
         for s in panel.subjects:
             label_cell = "" if s.label is None else str(s.label)
             for t, x in zip(s.times, s.observations):

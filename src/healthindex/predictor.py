@@ -88,25 +88,20 @@ def index_trajectory(posterior: WeightPosterior, series: SubjectSeries) -> Index
 
 @dataclass(frozen=True)
 class PredictionRecord:
-    """Decision at the terminal visit plus the full index trajectory."""
+    """Decision at a subject's terminal visit.
+
+    ``index_mean`` is the index the decision thresholds and ``index_std`` its
+    posterior standard deviation; a model without a posterior (the chi
+    baseline) leaves ``index_std`` and ``confidence`` as None.
+    """
 
     subject_id: str
-    trajectory: IndexTrajectory
+    t_last: int
+    index_mean: float
+    index_std: float | None
     predicted_label: int
-    confidence: float
+    confidence: float | None
     abstained: bool = False
-
-    @property
-    def t_last(self) -> int:
-        return self.trajectory.times[-1]
-
-    @property
-    def index_mean(self) -> float:
-        return self.trajectory.means[-1]
-
-    @property
-    def index_std(self) -> float:
-        return self.trajectory.stds[-1]
 
     @property
     def rejection_label(self) -> int:
@@ -114,25 +109,30 @@ class PredictionRecord:
         return REJECTED_LABEL if self.abstained else self.predicted_label
 
 
-def predict_subject(posterior: WeightPosterior, series: SubjectSeries) -> PredictionRecord:
-    """Decision at the terminal visit. An all-zero terminal visit carries no
-    evidence: it gets the tie label +1 and confidence 0.5, the lowest
-    possible, so rate-based rejection abstains on it first."""
-    traj = index_trajectory(posterior, series)
-    try:
-        conf = confidence(posterior, series.terminal)
-    except ZeroFeatureVector:
-        conf = 0.5
-    return PredictionRecord(
-        subject_id=series.subject_id,
-        trajectory=traj,
-        predicted_label=predict(posterior, series.terminal),
-        confidence=conf,
-    )
-
-
 def predict_panel(posterior: WeightPosterior, panel: LongitudinalPanel) -> list[PredictionRecord]:
-    return [predict_subject(posterior, s) for s in panel.subjects]
+    """One record per subject from the index mean v.x and std ||x|| of its
+    terminal visit x; the same two floats give ``predict`` and
+    ``confidence``. An all-zero terminal visit carries no evidence: it gets
+    the tie label +1 and confidence 0.5, the lowest possible, so rate-based
+    rejection abstains on it first."""
+    if panel.d != posterior.d:
+        raise DimensionMismatch(f"panel has d={panel.d}, posterior has d={posterior.d}")
+    records = []
+    for s in panel.subjects:
+        x = s.terminal
+        mean = float(posterior.mean @ x)
+        std = float(np.linalg.norm(x))
+        records.append(
+            PredictionRecord(
+                subject_id=s.subject_id,
+                t_last=int(s.times[-1]),
+                index_mean=mean,
+                index_std=std,
+                predicted_label=1 if mean >= 0.0 else -1,
+                confidence=_normal_cdf(abs(mean) / std) if std != 0.0 else 0.5,
+            )
+        )
+    return records
 
 
 def reject_by_threshold(
@@ -166,8 +166,13 @@ def reject_by_rate(
 # prediction CSV
 
 
+def _cell(value: float | None) -> str:
+    return "" if value is None else repr(value)
+
+
 def write_predictions(records: Iterable[PredictionRecord], path) -> None:
-    """One row per subject; the pred column is rejection-aware (1, -1 or 0)."""
+    """One row per subject; the pred column is rejection-aware (1, -1 or 0)
+    and a missing std or confidence is left blank."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_COLUMNS)
@@ -177,9 +182,9 @@ def write_predictions(records: Iterable[PredictionRecord], path) -> None:
                     r.subject_id,
                     r.t_last,
                     repr(r.index_mean),
-                    repr(r.index_std),
+                    _cell(r.index_std),
                     r.rejection_label,
-                    repr(r.confidence),
+                    _cell(r.confidence),
                     int(r.abstained),
                 ]
             )

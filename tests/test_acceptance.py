@@ -3,7 +3,8 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 complete. Every tolerance and runtime bound is asserted, not just printed.
 The trend criteria (6 to 9) run the experiment pipeline on the default
-synthetic panel with 20 seeds each; all are deterministic.
+synthetic panel with 20 seeds each; all are deterministic. Criterion 07 has
+a companion check that depends on c through the scale of the posterior mean.
 """
 
 import json
@@ -20,6 +21,7 @@ from healthindex.harness import (
     C_POLICY_SWEEP,
     ExperimentSpec,
     run_pipeline,
+    train_uqchi,
 )
 from healthindex.med_core import (
     DualProblem,
@@ -28,7 +30,8 @@ from healthindex.med_core import (
     log_partition,
     solve_dual,
 )
-from healthindex.simulator import SimConfig
+from healthindex.panel import split_and_mask, standardize
+from healthindex.simulator import SimConfig, simulate
 
 GOLDEN_LAMBDA = 0.3819660112501051  # root of lam^2 - 3 lam + 1 inside [0, 2)
 
@@ -242,6 +245,33 @@ def test_criterion_07_c_sweep_trend():
         180,
     )
     assert acc_low >= acc_high
+    assert elapsed < 180.0
+
+
+def test_criterion_07_posterior_norm_grows_with_c():
+    """The posterior-mean norm ||v|| strictly increases along the paper's c
+    grid on standardized default-simulation splits.
+
+    Criterion 07 can pass with equal accuracies, because the sign of v.x
+    does not see the scale c puts on v; this check does.
+    """
+    start = time.perf_counter()
+    grid = ExperimentSpec().c_grid
+    all_increasing = True
+    for seed in range(5):
+        panel, _ = simulate(SimConfig(label_observed_fraction=1.0, seed=seed))
+        train, _ = split_and_mask(panel, 0.7, 0.2, seed=seed)
+        train_s = standardize(train)
+        norms = [float(np.linalg.norm(train_uqchi(train_s, c)[0].mean)) for c in grid]
+        increasing = all(b > a for a, b in zip(norms, norms[1:]))
+        all_increasing = all_increasing and increasing
+        report(
+            7,
+            increasing,
+            f"seed {seed}, ||v|| by c " + " -> ".join(f"{n:.3f}" for n in norms),
+        )
+    elapsed = time.perf_counter() - start
+    assert all_increasing
     assert elapsed < 180.0
 
 

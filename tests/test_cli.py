@@ -124,6 +124,33 @@ class TestTrainPredictEvaluate:
         assert "unsupported model format: 99" in capsys.readouterr().err
         assert not preds.exists()
 
+    def test_model_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        panel = simulate_panel(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text("[1, 2]\n")
+        preds = tmp_path / "preds.csv"
+        assert run(["predict", "--model", model, "--panel", panel, "--out", preds]) == 2
+        assert "must hold a JSON object, got list" in capsys.readouterr().err
+        assert not preds.exists()
+
+    @pytest.mark.parametrize("method", ["uqchi", "chi"])
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_model_dimension_mismatch_exits_2(self, tmp_path, capsys, method, standardize):
+        train_panel = simulate_panel(tmp_path)
+        other = tmp_path / "other.csv"
+        assert run(["simulate", "--out", other, "--d", 4, "--n-per-class", 5,
+                    "--informative-k", 2, "--seed", 1]) == 0
+        model = tmp_path / "model.json"
+        flags = [] if standardize else ["--no-standardize"]
+        assert run(["train", "--panel", train_panel, "--out", model, "--method", method,
+                    "--steps", 20] + flags) == 0
+        capsys.readouterr()
+        preds = tmp_path / "preds.csv"
+        assert run(["predict", "--model", model, "--panel", other, "--out", preds]) == 2
+        err = capsys.readouterr().err
+        assert "has d=6" in err and "has d=4" in err
+        assert not preds.exists()
+
     def test_evaluate_skips_subjects_without_truth(self, tmp_path, capsys):
         partial = simulate_panel(tmp_path, **{"--label-observed-fraction": 0.5})
         model = tmp_path / "m.json"
@@ -226,6 +253,8 @@ class TestSweep:
             ({"chi_hyper": {"alpah": 1.0, "zeta": 2}}, "ChiHyperparams keys: alpah, zeta"),
             ([["n_seeds", 2]], "ExperimentSpec must be a JSON object"),
             ({"sim": 5}, "SimConfig must be a JSON object"),
+            ({"n_seeds": 2.5}, "n_seeds must be an integer, got 2.5"),
+            ({"chi_hyper": None}, "chi_hyper must be a ChiHyperparams object, got None"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, payload, named):

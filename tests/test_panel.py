@@ -8,14 +8,11 @@ from healthindex.errors import (
     PanelFormatError,
 )
 from healthindex.panel import (
-    LabelPrior,
     LongitudinalPanel,
     Standardization,
     SubjectSeries,
-    aggregate_matrix,
     aggregates,
     apply_standardization,
-    expected_label,
     fit_standardization,
     load_panel,
     split_and_mask,
@@ -119,22 +116,6 @@ class TestCsvLoading:
         with pytest.raises(PanelFormatError):
             load_panel(path)
 
-    def test_custom_column_mapping(self, tmp_path):
-        from healthindex.panel import CsvSchema
-
-        path = self.write(
-            tmp_path,
-            "pid,visit,status,height,weight,extra\n"
-            "a,1,1,0.5,1.5,ignored\n"
-            "a,2,1,0.6,1.4,ignored\n",
-        )
-        schema = CsvSchema(
-            subject_id="pid", time="visit", label="status", features=("height", "weight")
-        )
-        panel = load_panel(path, schema)
-        assert panel.d == 2
-        np.testing.assert_array_equal(panel.subjects[0].observations[0], [0.5, 1.5])
-
     def test_round_trip_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(7)
         panel = random_panel(rng)
@@ -164,36 +145,27 @@ class TestSeriesValidation:
 
 
 class TestExpectedLabel:
+    """The expected label 2 P(y = +1) - 1 scales the terminal visit of a
+    subject's aggregate row: +1 or -1 when observed, 0 when missing."""
+
     def test_observed_positive_is_one(self):
-        panel = make_panel(make_series("p", [[1.0]], label=1))
-        prior = LabelPrior.from_panel(panel)
-        assert expected_label(prior, "p") == 1.0
+        panel = make_panel(make_series("p", [[1.5, -2.0]], label=1))
+        np.testing.assert_array_equal(aggregates(panel), [[1.5, -2.0]])
 
     def test_unobserved_half_is_zero(self):
-        panel = make_panel(make_series("u", [[1.0]]))
-        prior = LabelPrior.from_panel(panel)
-        assert expected_label(prior, "u") == 0.0
-
-    def test_soft_prior_maps_affinely(self):
-        prior = LabelPrior({"s": 0.8})
-        assert expected_label(prior, "s") == pytest.approx(0.6)
+        panel = make_panel(make_series("u", [[1.5, -2.0]]))
+        np.testing.assert_array_equal(aggregates(panel), [[0.0, 0.0]])
 
     def test_monotone_and_affine_in_probability(self):
-        ps = np.linspace(0.0, 1.0, 21)
-        values = [expected_label(LabelPrior({"s": p}), "s") for p in ps]
-        diffs = np.diff(values)
-        assert np.all(diffs > 0)
-        np.testing.assert_allclose(diffs, diffs[0], atol=1e-12)
-        assert values[0] == -1.0 and values[-1] == 1.0
-
-    def test_missing_subject_raises(self):
-        with pytest.raises(KeyError):
-            expected_label(LabelPrior({}), "nope")
-
-    def test_configurable_unobserved_prior(self):
-        panel = make_panel(make_series("u", [[1.0]]))
-        prior = LabelPrior.from_panel(panel, unobserved=0.8)
-        assert expected_label(prior, "u") == pytest.approx(0.6)
+        # P(y = +1) = 0, 0.5, 1 for labels -1, missing, +1
+        rows = [[0.5, 1.0], [2.0, -1.0], [3.0, 4.0]]
+        mats = [
+            aggregates(make_panel(make_series("s", rows, label=label)))[0]
+            for label in (-1, None, 1)
+        ]
+        terminal = np.array(rows[-1])
+        np.testing.assert_array_equal(mats[1] - mats[0], terminal)
+        np.testing.assert_array_equal(mats[2] - mats[1], terminal)
 
 
 class TestAggregates:
@@ -201,31 +173,28 @@ class TestAggregates:
         panel = make_panel(
             make_series("s", [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0]], label=1)
         )
-        (agg,) = aggregates(panel, LabelPrior.from_panel(panel))
-        np.testing.assert_array_equal(agg.vector, [7.0, 0.0])
+        np.testing.assert_array_equal(aggregates(panel), [[7.0, 0.0]])
 
     def test_single_visit_negative(self):
         panel = make_panel(make_series("s", [[2.0, 3.0]], label=-1))
-        (agg,) = aggregates(panel, LabelPrior.from_panel(panel))
-        np.testing.assert_array_equal(agg.vector, [-2.0, -3.0])
+        np.testing.assert_array_equal(aggregates(panel), [[-2.0, -3.0]])
 
     def test_unobserved_keeps_only_monotone_part(self):
         panel = make_panel(make_series("s", [[0.0, 0.0], [1.0, 1.0]]))
-        (agg,) = aggregates(panel, LabelPrior.from_panel(panel))
-        np.testing.assert_array_equal(agg.vector, [1.0, 1.0])
+        np.testing.assert_array_equal(aggregates(panel), [[1.0, 1.0]])
 
     def test_telescoping_identity_random_panels(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             panel = random_panel(rng, n_subjects=4, d=4, labeled_fraction=0.0)
-            for agg, s in zip(aggregates(panel, LabelPrior.from_panel(panel)), panel.subjects):
+            for row, s in zip(aggregates(panel), panel.subjects):
                 # unobserved labels kill the discriminant part, leaving the sum of diffs
                 same_order = np.zeros(s.d)
                 for step in s.visit_diffs():
                     same_order = same_order + step
-                np.testing.assert_array_equal(agg.vector, same_order)
+                np.testing.assert_array_equal(row, same_order)
                 np.testing.assert_allclose(
-                    agg.vector, s.terminal - s.first, rtol=1e-12, atol=1e-12
+                    row, s.terminal - s.first, rtol=1e-12, atol=1e-12
                 )
 
     def test_matrix_stacks_in_order(self):
@@ -233,7 +202,8 @@ class TestAggregates:
             make_series("a", [[1.0, 0.0]], label=1),
             make_series("b", [[0.0, 2.0]], label=1),
         )
-        mat = aggregate_matrix(aggregates(panel, LabelPrior.from_panel(panel)))
+        mat = aggregates(panel)
+        assert mat.shape == (2, 2)
         np.testing.assert_array_equal(mat, [[1.0, 0.0], [0.0, 2.0]])
 
 

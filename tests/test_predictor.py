@@ -12,7 +12,6 @@ from healthindex.predictor import (
     index_trajectory,
     predict,
     predict_panel,
-    predict_subject,
     read_prediction_labels,
     reject_by_rate,
     reject_by_threshold,
@@ -29,8 +28,7 @@ def series(rows, sid="s", label=None):
 
 
 def record(sid, conf, label=1):
-    traj = index_trajectory(WeightPosterior(np.array([1.0])), series([[1.0]], sid))
-    return PredictionRecord(sid, traj, label, conf)
+    return PredictionRecord(sid, 1, float(label), 1.0, label, conf)
 
 
 class TestPredict:
@@ -214,14 +212,41 @@ class TestPredictPanel:
         assert rejected == ["b"]
 
 
+    def test_records_carry_the_floats_that_decide(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            d = int(rng.integers(1, 40))
+            post = WeightPosterior(rng.normal(size=d))
+            panel = LongitudinalPanel(
+                tuple(
+                    series(rng.normal(size=(int(rng.integers(1, 5)), d)), sid=f"s{i}")
+                    for i in range(8)
+                )
+            )
+            for r, s in zip(predict_panel(post, panel), panel.subjects):
+                x = s.terminal
+                assert r.t_last == int(s.times[-1])
+                assert r.index_mean == float(post.mean @ x)
+                assert r.index_std == float(np.linalg.norm(x))
+                assert r.predicted_label == predict(post, x)
+                assert r.confidence == confidence(post, x)
+
+    def test_dimension_mismatch_names_both(self):
+        panel = LongitudinalPanel((series([[1.0, 2.0]]),))
+        with pytest.raises(DimensionMismatch, match="panel has d=2, posterior has d=3"):
+            predict_panel(WeightPosterior(np.ones(3)), panel)
+
+
 class TestPredictionCsv:
     def test_round_trip_with_rejection_labels(self, tmp_path):
         post = WeightPosterior(np.array([1.0, -0.5]))
-        records = [
-            predict_subject(post, series([[1.0, 0.0], [2.0, 1.0]], sid="a", label=1)),
-            predict_subject(post, series([[-3.0, 0.5]], sid="b", label=-1)),
-        ]
-        records = reject_by_rate(records, 0.5)
+        panel = LongitudinalPanel(
+            (
+                series([[1.0, 0.0], [2.0, 1.0]], sid="a", label=1),
+                series([[-3.0, 0.5]], sid="b", label=-1),
+            )
+        )
+        records = reject_by_rate(predict_panel(post, panel), 0.5)
         path = tmp_path / "preds.csv"
         write_predictions(records, path)
         labels = read_prediction_labels(path)

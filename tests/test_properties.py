@@ -1,0 +1,73 @@
+"""Property-based tests: panel CSV round trips and nested rate rejection."""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from healthindex.panel import LongitudinalPanel, SubjectSeries, load_panel, write_panel
+from healthindex.predictor import PredictionRecord, reject_by_rate
+
+# deterministic example streams, no per-example deadline on slow machines
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def panels(draw):
+    """Panels with gaps in t, unlabeled and single-visit subjects, negative
+    zeros, subnormals and extreme magnitudes."""
+    d = draw(st.integers(1, 4))
+    ids = draw(
+        st.lists(st.from_regex(r"[A-Za-z0-9_.-]{1,6}", fullmatch=True),
+                 min_size=1, max_size=5, unique=True)
+    )
+    subjects = []
+    for sid in ids:
+        times = sorted(draw(st.sets(st.integers(-3, 60), min_size=1, max_size=4)))
+        rows = draw(
+            st.lists(st.lists(finite_floats, min_size=d, max_size=d),
+                     min_size=len(times), max_size=len(times))
+        )
+        label = draw(st.sampled_from([1, -1, None]))
+        subjects.append(SubjectSeries(sid, np.array(times), np.array(rows), label))
+    return LongitudinalPanel(tuple(subjects))
+
+
+@PROPERTY_SETTINGS
+@given(panels())
+def test_csv_write_load_write_is_byte_stable(panel):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_panel(panel, first)
+        loaded = load_panel(first)
+        write_panel(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded.subject_ids == panel.subject_ids
+    for got, want in zip(loaded.subjects, panel.subjects):
+        assert got.label == want.label
+        np.testing.assert_array_equal(got.times, want.times)
+        assert got.observations.tobytes() == want.observations.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.sampled_from([0.5, 0.6, 0.75, 0.75, 0.9, 1.0]) | st.floats(0.5, 1.0),
+             min_size=1, max_size=40),
+    st.lists(st.floats(0.0, 0.999), min_size=1, max_size=6),
+)
+def test_reject_by_rate_sets_nest_as_the_rate_grows(confidences, rates):
+    records = [
+        PredictionRecord(f"s{i}", 1, 0.0, 1.0, 1, conf)
+        for i, conf in enumerate(confidences)
+    ]
+    previous: set = set()
+    for rate in sorted(rates):
+        current = {r.subject_id for r in reject_by_rate(records, rate) if r.abstained}
+        assert len(current) == math.floor(rate * len(records))
+        assert previous <= current
+        previous = current
