@@ -19,6 +19,7 @@ from .panel import (
     Standardization,
     apply_standardization,
     fit_standardization,
+    load_observed_labels,
     load_panel,
     save_standardization,
 )
@@ -172,7 +173,7 @@ def _cmd_predict(args) -> int:
             predictor.PredictionRecord(
                 subject_id=s.subject_id,
                 t_last=int(s.times[-1]),
-                index_mean=float(s.terminal @ model.w),
+                index_mean=float(s.terminal @ model.w) + model.b,
                 index_std=None,
                 predicted_label=chi_baseline.chi_predict(model, s.terminal),
                 confidence=None,
@@ -195,7 +196,7 @@ def _add_evaluate_parser(subparsers):
 
 def _cmd_evaluate(args) -> int:
     preds = predictor.read_prediction_labels(args.predictions)
-    truth = load_panel(args.truth).observed_labels()
+    truth = load_observed_labels(args.truth)
     scored = {sid: label for sid, label in preds.items() if sid in truth}
     result = harness.evaluate(scored, truth)
     payload = dataclasses.asdict(result)

@@ -10,6 +10,7 @@ into one deterministic log, and the result table is computed from it.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -204,6 +205,9 @@ C_POLICY_SWEEP = "sweep"
 
 # ExperimentSpec fields that must hold a plain int (a bool is refused)
 _INT_FIELDS = ("n_seeds", "cv_folds", "chi_steps", "solver_max_iter", "seed")
+# ExperimentSpec fields that must hold a real number (a bool is refused);
+# fixed_c may also be None
+_REAL_FIELDS = ("solver_tol", "fixed_c", "chi_step_size")
 
 
 def default_sim_config() -> SimConfig:
@@ -245,6 +249,12 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "fixed_c":
+                continue
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not isinstance(self.chi_hyper, ChiHyperparams):
             raise ValueError(f"chi_hyper must be a ChiHyperparams object, got {self.chi_hyper!r}")
         if self.panel_csv is None and self.sim is None:
@@ -365,14 +375,13 @@ def _c_cells(spec: ExperimentSpec) -> list[tuple[str, float | None]]:
     return [(C_POLICY_CV, None)]
 
 
-def _source_panel(
-    spec: ExperimentSpec, seed_index: int
-) -> tuple[LongitudinalPanel, dict[str, int]]:
+def _source_panels(spec: ExperimentSpec) -> list[tuple[LongitudinalPanel, dict[str, int]]]:
+    """(panel, truth) per seed index: the panel CSV, read once, or one
+    simulated panel per seed."""
     if spec.panel_csv is not None:
         panel = load_panel(spec.panel_csv)
-        return panel, panel.observed_labels()
-    sim = replace(spec.sim, seed=spec.seed + seed_index)
-    return simulate(sim)
+        return [(panel, panel.observed_labels())] * spec.n_seeds
+    return [simulate(replace(spec.sim, seed=spec.seed + i)) for i in range(spec.n_seeds)]
 
 
 def _uqchi_cell(
@@ -463,10 +472,10 @@ def run_pipeline(spec: ExperimentSpec) -> PipelineResult:
     specs give byte-identical tables and logs.
     """
     runs: list[dict] = []
+    sources = _source_panels(spec)
     for train_ratio in spec.train_ratios:
         for label_ratio in spec.label_ratios:
-            for i in range(spec.n_seeds):
-                panel, truth = _source_panel(spec, i)
+            for i, (panel, truth) in enumerate(sources):
                 train, test = split_and_mask(
                     panel,
                     train_fraction=train_ratio,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
@@ -248,6 +249,57 @@ def save_standardization(standardization: Standardization, path) -> None:
 # CSV ingestion / emission
 
 
+# np.loadtxt settings for the panel CSV dialect: csv.writer's quoting, and no
+# comment character, since a subject id may start with "#"
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where a panel CSV keeps its columns, read from its header record."""
+
+    header: list[str]  # the header cells as written
+    header_lines: int  # physical lines the header record spans
+    keys: tuple[int, int, int]  # subject_id, t and label column indices
+    features: list[int]  # feature column indices, in header order
+
+
+def _layout(path) -> _Layout:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise PanelFormatError(f"{path}: empty file") from None
+        header_lines = reader.line_num
+    names = [h.strip() for h in header]
+    for col in _RESERVED_COLUMNS:
+        if col not in names:
+            raise PanelFormatError(f"{path}: missing column {col!r}")
+    features = [i for i, h in enumerate(names) if h not in _RESERVED_COLUMNS]
+    if not features:
+        raise PanelFormatError(f"{path}: no feature columns")
+    keys = tuple(names.index(col) for col in _RESERVED_COLUMNS)
+    return _Layout(header, header_lines, keys, features)
+
+
+def _loadtxt(path, layout: _Layout, dtype, usecols) -> np.ndarray:
+    """One column-wise pass over the data rows; raises ValueError on a row
+    loadtxt cannot read. loadtxt would open a path with newline translation,
+    which turns a CR inside a quoted cell into LF; the file is opened as
+    csv.reader needs it instead."""
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file without data rows
+        return np.loadtxt(
+            fh, dtype=dtype, usecols=usecols, skiprows=layout.header_lines, **_LOADTXT
+        )
+
+
+def _count_commas(path) -> int:
+    with open(path, "rb") as fh:
+        return sum(chunk.count(b",") for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
 def _parse_label(token: str, subject_id: str) -> int | None:
     token = token.strip()
     if token in _LABEL_TOKENS:
@@ -257,86 +309,185 @@ def _parse_label(token: str, subject_id: str) -> int | None:
     )
 
 
+def _parse_id_and_time(path, row_no, sid: str, t: str) -> tuple[str, int]:
+    sid = sid.strip()
+    if not sid:
+        raise PanelFormatError(f"{path}:{row_no}: empty subject id")
+    try:
+        return sid, int(t)
+    except ValueError:
+        raise PanelFormatError(
+            f"{path}:{row_no}: non-integer time index {t!r}"
+        ) from None
+
+
+def _subject_labels(sids, labels) -> dict[str, int | None]:
+    """Each subject's observed label (None when no row carries one), keyed by
+    subject id in first-appearance order."""
+    out: dict[str, int | None] = {}
+    for sid, label in zip(sids, labels):
+        seen = out.setdefault(sid, label)
+        if label is not None and seen != label:
+            if seen is not None:
+                raise ConflictingLabels(f"subject {sid}: conflicting labels")
+            out[sid] = label
+    return out
+
+
+def _column_rows(path, layout: _Layout):
+    """((id, time) pairs, labels, features) of every data row, each column
+    parsed whole by np.loadtxt; None when the file needs ``_scanned_rows``:
+    a cell loadtxt or a key check refuses, or a row with more cells than the
+    header. The key cells are read as Python str objects (dtype=object): a
+    numpy str array would drop a trailing NUL.
+
+    The two passes read every column, so loadtxt refuses a row narrower
+    than the header; the file's commas then show that none is wider. A
+    feature cell holds no comma (no float does), so the only commas besides
+    the separators are those inside header and key cells.
+    """
+    try:
+        rows = _loadtxt(path, layout, object, layout.keys).tolist()
+        features = _loadtxt(path, layout, float, layout.features)
+        keys = [_parse_id_and_time(path, None, sid, t) for sid, t, _ in rows]
+        labels = [_parse_label(row[2], sid) for row, (sid, _) in zip(rows, keys)]
+    except ValueError:
+        return None
+    separators = (len(layout.header) - 1) * (len(keys) + 1)
+    quoted = sum(cell.count(",") for cells in [layout.header, *rows] for cell in cells)
+    if _count_commas(path) != separators + quoted:
+        return None
+    return keys, labels, features
+
+
+def _scanned_rows(path, layout: _Layout):
+    """((id, time) pairs, labels, features) read row by row with csv.reader
+    and float(): skips rows of blank cells, reads every number float() reads,
+    and names the line of the first bad row."""
+    keys, labels, features = [], [], []
+    width = len(layout.header)
+    sid_i, t_i, label_i = layout.keys
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != width:
+                raise DimensionMismatch(
+                    f"{path}:{row_no}: expected {width} cells, got {len(row)}"
+                )
+            keys.append(_parse_id_and_time(path, row_no, row[sid_i], row[t_i]))
+            try:
+                features.append([float(row[i]) for i in layout.features])
+            except ValueError:
+                raise PanelFormatError(
+                    f"{path}:{row_no}: non-numeric feature value"
+                ) from None
+            labels.append(_parse_label(row[label_i], keys[-1][0]))
+    features = np.array(features, dtype=float).reshape(len(keys), len(layout.features))
+    return keys, labels, features
+
+
 def load_panel(path) -> LongitudinalPanel:
     """Read a long-format CSV (one row per subject visit) into a panel.
 
-    The header names ``subject_id``, ``t`` and ``label``; every other column
-    is a feature, in header order. Rows are grouped by subject in
-    first-appearance order and sorted by time. Duplicate (subject, t) pairs,
-    conflicting labels, non-numeric features and ragged rows are rejected.
+    The header names ``subject_id``, ``t`` and ``label`` in any order; every
+    other column is a feature, in header order. Cells follow csv.writer's
+    default dialect: a cell may be quoted, with inner quotes doubled, and a
+    quoted cell may hold commas and line breaks. ``#`` starts no comment.
+    Ids, times and labels are stripped of surrounding whitespace; a time is
+    an integer as int() reads it, a label is 1, +1, -1 or empty. A feature
+    is a finite number as float() reads it, surrounding whitespace allowed.
+    Rows of blank cells are skipped.
+
+    Rows are grouped by subject in first-appearance order and sorted by
+    time. Duplicate (subject, t) pairs, conflicting labels, non-numeric or
+    non-finite features and ragged rows are rejected; a bad row's error
+    names its line.
+
+    The columns are parsed whole with np.loadtxt. A file that needs more
+    (rows of blank cells, a number such as ``1_0`` that float() reads and
+    loadtxt does not, or any bad row) is read again row by row, which gives
+    the same panel or the row's error.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path}: empty file") from None
-        rows = list(reader)
-
-    header = [h.strip() for h in header]
-    for col in _RESERVED_COLUMNS:
-        if col not in header:
-            raise PanelFormatError(f"{path}: missing column {col!r}")
-    sid_i, t_i, label_i = (header.index(col) for col in _RESERVED_COLUMNS)
-    feat_i = [i for i, h in enumerate(header) if h not in _RESERVED_COLUMNS]
-    if not feat_i:
-        raise PanelFormatError(f"{path}: no feature columns")
-
-    by_subject: dict[str, dict] = {}
-    for row_no, row in enumerate(rows, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise DimensionMismatch(
-                f"{path}:{row_no}: expected {len(header)} cells, got {len(row)}"
-            )
-        sid = row[sid_i].strip()
-        if not sid:
-            raise PanelFormatError(f"{path}:{row_no}: empty subject id")
-        try:
-            t = int(row[t_i])
-        except ValueError:
-            raise PanelFormatError(
-                f"{path}:{row_no}: non-integer time index {row[t_i]!r}"
-            ) from None
-        try:
-            feats = [float(row[i]) for i in feat_i]
-        except ValueError:
-            raise PanelFormatError(
-                f"{path}:{row_no}: non-numeric feature value"
-            ) from None
-        label = _parse_label(row[label_i], sid)
-
-        entry = by_subject.setdefault(sid, {"visits": {}, "label": None})
-        if t in entry["visits"]:
-            raise DuplicateTimeIndex(f"subject {sid}: duplicate time index t={t}")
-        entry["visits"][t] = feats
-        if label is not None:
-            if entry["label"] is not None and entry["label"] != label:
-                raise ConflictingLabels(f"subject {sid}: conflicting labels")
-            entry["label"] = label
-
-    if not by_subject:
+    layout = _layout(path)
+    keys, labels, features = _column_rows(path, layout) or _scanned_rows(path, layout)
+    if not keys:
         raise PanelFormatError(f"{path}: no data rows")
+    subject_labels = _subject_labels((sid for sid, _ in keys), labels)
+    code = {sid: j for j, sid in enumerate(subject_labels)}
+    codes = np.fromiter((code[sid] for sid, _ in keys), dtype=np.intp, count=len(keys))
+    times = np.array([t for _, t in keys])
+    order = np.lexsort((times, codes))
+    codes, times = codes[order], times[order]
+    ids = list(subject_labels)
+    dup = np.flatnonzero((codes[1:] == codes[:-1]) & (times[1:] == times[:-1]))
+    if dup.size:
+        i = dup[np.argmin(order[dup + 1])]  # the first repeat in file order
+        raise DuplicateTimeIndex(
+            f"subject {ids[codes[i]]}: duplicate time index t={times[i]}"
+        )
+    features = features[order]
+    bounds = np.flatnonzero(np.diff(codes, prepend=-1, append=len(ids))).tolist()
+    return LongitudinalPanel(
+        tuple(
+            SubjectSeries(sid, times[a:b], features[a:b], subject_labels[sid])
+            for sid, a, b in zip(ids, bounds[:-1], bounds[1:])
+        )
+    )
 
-    subjects = []
-    for sid, entry in by_subject.items():
-        times = sorted(entry["visits"])
-        obs = np.array([entry["visits"][t] for t in times], dtype=float)
-        subjects.append(SubjectSeries(sid, np.array(times), obs, entry["label"]))
-    return LongitudinalPanel(tuple(subjects))
+
+def load_observed_labels(path) -> dict[str, int]:
+    """``load_panel(path).observed_labels()`` read from the ``subject_id``
+    and ``label`` columns alone: the time and feature columns are neither
+    parsed nor checked. Bad label tokens and conflicting labels are rejected
+    as load_panel rejects them. A file whose id or label column np.loadtxt
+    cannot read (a short row, a line of spaces, a blank id, no data rows)
+    goes through load_panel, which skips blank rows and names a bad line.
+    """
+    layout = _layout(path)
+    sid_i, _, label_i = layout.keys
+    try:
+        cells = _loadtxt(path, layout, object, (sid_i, label_i)).tolist()
+    except ValueError:
+        cells = []
+    sids = [sid.strip() for sid, _ in cells]
+    if not sids or not all(sids):
+        return load_panel(path).observed_labels()
+    labels = [_parse_label(token, sid) for sid, (_, token) in zip(sids, cells)]
+    return {
+        sid: label
+        for sid, label in _subject_labels(sids, labels).items()
+        if label is not None
+    }
+
+
+def _csv_field(text: str) -> str:
+    """A cell as csv.writer's default dialect writes it: quoted, inner quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_panel(panel: LongitudinalPanel, path) -> None:
-    """Emit the long-format CSV with header ``subject_id,t,label,f1..fd``.
-    Floats use repr for byte-stable round trips."""
+    """Emit the long-format CSV with header ``subject_id,t,label,f1..fd``,
+    byte for byte as csv.writer writes it: CRLF line ends, and a subject id
+    quoted when it holds a comma, a quote or a line break. Floats use repr,
+    so load_panel reads back the same bits."""
+    header = list(_RESERVED_COLUMNS) + [f"f{k + 1}" for k in range(panel.d)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(_RESERVED_COLUMNS) + [f"f{k + 1}" for k in range(panel.d)])
+        fh.write(",".join(header) + "\r\n")
         for s in panel.subjects:
-            label_cell = "" if s.label is None else str(s.label)
-            for t, x in zip(s.times, s.observations):
-                writer.writerow([s.subject_id, int(t), label_cell] + [repr(float(v)) for v in x])
+            sid = _csv_field(s.subject_id)
+            label = "" if s.label is None else str(s.label)
+            fh.write(
+                "".join(
+                    f"{sid},{t},{label},{','.join(map(repr, row))}\r\n"
+                    for t, row in zip(s.times.tolist(), s.observations.tolist())
+                )
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,21 @@ class TestTrainPredictEvaluate:
         assert row[4] in ("1", "-1")
         assert row[3] == "" and row[5] == ""
 
+    def test_chi_index_mean_carries_the_intercept(self, tmp_path):
+        panel = simulate_panel(tmp_path, **{"--normal-proportion": 0.9})
+        model = tmp_path / "chi.json"
+        assert run(
+            ["train", "--panel", panel, "--out", model, "--method", "chi",
+             "--steps", 150, "--step-size", 0.05]
+        ) == 0
+        assert abs(json.loads(model.read_text())["b"]) > 5.0
+        preds = tmp_path / "chi_preds.csv"
+        assert run(["predict", "--model", model, "--panel", panel, "--out", preds]) == 0
+        rows = [line.split(",") for line in preds.read_text().splitlines()[1:]]
+        assert len(rows) == 24
+        for row in rows:
+            assert (float(row[2]) >= 0.0) == (row[4] == "1"), row
+
     def test_chi_rejection_flag_is_invalid(self, tmp_path):
         panel = simulate_panel(tmp_path)
         model = tmp_path / "chi.json"
@@ -255,6 +270,9 @@ class TestSweep:
             ({"sim": 5}, "SimConfig must be a JSON object"),
             ({"n_seeds": 2.5}, "n_seeds must be an integer, got 2.5"),
             ({"chi_hyper": None}, "chi_hyper must be a ChiHyperparams object, got None"),
+            ({"solver_tol": "x"}, "solver_tol must be a real number, got 'x'"),
+            ({"fixed_c": True}, "fixed_c must be a real number, got True"),
+            ({"chi_step_size": "0.1"}, "chi_step_size must be a real number, got '0.1'"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, payload, named):

@@ -342,6 +342,34 @@ class TestRunPipeline:
         result = run_pipeline(spec)
         assert any(r.mean_accuracy is not None for r in result.table.rows)
 
+    @pytest.mark.parametrize("source", ["csv", "sim"])
+    def test_each_source_read_once(self, tmp_path, monkeypatch, source):
+        """The CSV is read once per sweep and each seed's panel simulated
+        once, through the names a tracer wraps."""
+        from healthindex import harness
+        from healthindex.simulator import simulate_to_files
+
+        calls = []
+
+        def counted(name, original):
+            def call(arg):
+                calls.append((name, arg))
+                return original(arg)
+            return call
+
+        for name in ("load_panel", "simulate"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        spec = tiny_spec(train_ratios=(0.5, 0.7), label_ratios=(0.2, 0.5), n_seeds=2)
+        if source == "csv":
+            path = tmp_path / "panel.csv"
+            simulate_to_files(spec.sim, path)
+            spec = dataclasses.replace(spec, sim=None, panel_csv=str(path))
+        run_pipeline(spec)
+        if source == "csv":
+            assert calls == [("load_panel", str(path))]
+        else:
+            assert [(name, arg.seed) for name, arg in calls] == [("simulate", 0), ("simulate", 1)]
+
 
 class TestNoSignalFloor:
     def test_zero_drift_accuracy_near_chance(self):

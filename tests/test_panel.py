@@ -14,6 +14,7 @@ from healthindex.panel import (
     aggregates,
     apply_standardization,
     fit_standardization,
+    load_observed_labels,
     load_panel,
     split_and_mask,
     write_panel,
@@ -115,6 +116,108 @@ class TestCsvLoading:
         path = self.write(tmp_path, "subject_id,t,label,f1\ns,1,2,0.0\n")
         with pytest.raises(PanelFormatError):
             load_panel(path)
+
+    @pytest.mark.parametrize("row", ["s,1,1,0.0,1.0,2.0", '"s,t",1,1,0.0,1.0,"2,0"'])
+    def test_long_row_rejected_with_its_line(self, tmp_path, row):
+        path = self.write(
+            tmp_path, f'subject_id,t,label,f1,f2\na,1,1,0.0,1.0\n\n{row}\n'
+        )
+        with pytest.raises(DimensionMismatch, match=r"panel\.csv:4: expected 5 cells, got 6"):
+            load_panel(path)
+
+    def test_short_row_error_names_its_line(self, tmp_path):
+        path = self.write(tmp_path, "subject_id,t,label,f1,f2\na,1,1,0.0,1.0\n\na,2,1,0.0\n")
+        with pytest.raises(DimensionMismatch, match=r"panel\.csv:4: expected 5 cells, got 4"):
+            load_panel(path)
+
+    def test_ids_are_read_as_written(self, tmp_path):
+        """Quoted cells, "#" (no comment), a stripped leading space and a
+        trailing NUL, which numpy str arrays would drop."""
+        path = self.write(
+            tmp_path,
+            "subject_id,t,label,f1\n"
+            '"a,b",1,1,0.5\n'
+            '"say ""hi""",1,,1.5\n'
+            "#c,1,-1,2.5\n"
+            " d,1,,3.5\n"
+            '"e\r\nf",1,,4.5\n'
+            "g\0,1,1,5.5\n",
+        )
+        panel = load_panel(path)
+        assert panel.subject_ids == ("a,b", 'say "hi"', "#c", "d", "e\r\nf", "g\0")
+        assert [s.label for s in panel.subjects] == [1, None, -1, None, None, 1]
+        np.testing.assert_array_equal(
+            [s.terminal[0] for s in panel.subjects], [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
+        )
+        assert load_observed_labels(path) == {"a,b": 1, "#c": -1, "g\0": 1}
+
+    def test_reserved_columns_in_any_order(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "f2,label,t,f1,subject_id\n1.0,-1,2,0.5,s\n3.0,,1,2.5,s\n9.0,1,1,8.0,r\n",
+        )
+        panel = load_panel(path)
+        assert panel.subject_ids == ("s", "r")
+        assert [s.label for s in panel.subjects] == [-1, 1]
+        s = panel.subjects[0]
+        np.testing.assert_array_equal(s.times, [1, 2])
+        np.testing.assert_array_equal(s.observations, [[3.0, 2.5], [1.0, 0.5]])
+
+    def test_blank_lines_empty_rows_and_crlf(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(
+            b"subject_id,t,label,f1,f2\r\n\r\na,1,1,0.5,1.5\r\n,,,,\r\n   \r\n"
+            b" , ,, ,\r\na,2,,2.5,3.5\r\n\r\n"
+        )
+        (a,) = load_panel(path).subjects
+        assert a.label == 1
+        np.testing.assert_array_equal(a.times, [1, 2])
+        np.testing.assert_array_equal(a.observations, [[0.5, 1.5], [2.5, 3.5]])
+
+    def test_number_grammar_is_floats(self, tmp_path):
+        """Whitespace around a number is allowed, and so is every spelling
+        float() reads, also those np.loadtxt does not (1_0)."""
+        path = self.write(
+            tmp_path, "subject_id,t,label,f1,f2\ns, 1 ,1, 0.5 ,\t-2e-3\ns,2,1,1_0,+.5\n"
+        )
+        s = load_panel(path).subjects[0]
+        np.testing.assert_array_equal(s.observations, [[0.5, -0.002], [10.0, 0.5]])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_rejected(self, tmp_path, cell):
+        path = self.write(tmp_path, f"subject_id,t,label,f1\ns,1,1,0.0\ns,2,1,{cell}\n")
+        with pytest.raises(PanelFormatError, match="subject s: non-finite observation"):
+            load_panel(path)
+
+    @pytest.mark.parametrize("feature", ["1.0", "x"])
+    def test_labels_only_reader_matches_the_panel(self, tmp_path, feature):
+        path = self.write(
+            tmp_path,
+            f"subject_id,t,label,f1\nb,1,,{feature}\na,1,-1,0.0\nb,2,+1,0.0\nc,1,,0.0\n",
+        )
+        assert list(load_observed_labels(path).items()) == [("b", 1), ("a", -1)]
+        if feature == "x":  # the feature column is not read
+            with pytest.raises(PanelFormatError, match="non-numeric feature value"):
+                load_panel(path)
+        else:
+            assert load_observed_labels(path) == load_panel(path).observed_labels()
+
+    def test_labels_only_reader_skips_blank_rows(self, tmp_path):
+        path = self.write(tmp_path, "subject_id,t,label,f1\na,1,1,0.0\n  \n,,,\n")
+        assert load_observed_labels(path) == {"a": 1}
+
+    @pytest.mark.parametrize(
+        "rows,error",
+        [
+            ("s,1,1,0.0\ns,2,-1,1.0\n", ConflictingLabels),
+            ("s,1,2,0.0\n", PanelFormatError),
+            ("s,1,1,0.0\n,2,1,0.0\n", PanelFormatError),
+        ],
+    )
+    def test_labels_only_reader_rejects_bad_labels(self, tmp_path, rows, error):
+        path = self.write(tmp_path, "subject_id,t,label,f1\n" + rows)
+        with pytest.raises(error):
+            load_observed_labels(path)
 
     def test_round_trip_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -1,5 +1,7 @@
 """Property-based tests: panel CSV round trips and nested rate rejection."""
 
+import csv
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -8,24 +10,34 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from healthindex.panel import LongitudinalPanel, SubjectSeries, load_panel, write_panel
+from healthindex.panel import (
+    LongitudinalPanel,
+    SubjectSeries,
+    load_observed_labels,
+    load_panel,
+    write_panel,
+)
 from healthindex.predictor import PredictionRecord, reject_by_rate
 
 # deterministic example streams, no per-example deadline on slow machines
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# any non-blank text the loader keeps as is (it strips ids), drawn often from
+# the characters csv quoting is about, and from "#", which starts no comment
+subject_ids = st.text(
+    st.sampled_from(',"#\r\n ') | st.characters(blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=6,
+).filter(lambda sid: sid.strip() == sid)
 
 
 @st.composite
 def panels(draw):
-    """Panels with gaps in t, unlabeled and single-visit subjects, negative
-    zeros, subnormals and extreme magnitudes."""
+    """Panels with gaps in t, unlabeled and single-visit subjects, ids that
+    need csv quoting, negative zeros, subnormals and extreme magnitudes."""
     d = draw(st.integers(1, 4))
-    ids = draw(
-        st.lists(st.from_regex(r"[A-Za-z0-9_.-]{1,6}", fullmatch=True),
-                 min_size=1, max_size=5, unique=True)
-    )
+    ids = draw(st.lists(subject_ids, min_size=1, max_size=5, unique=True))
     subjects = []
     for sid in ids:
         times = sorted(draw(st.sets(st.integers(-3, 60), min_size=1, max_size=4)))
@@ -38,6 +50,18 @@ def panels(draw):
     return LongitudinalPanel(tuple(subjects))
 
 
+def csv_writer_bytes(panel):
+    """The panel CSV as csv.writer writes it, the reference for write_panel."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["subject_id", "t", "label"] + [f"f{k + 1}" for k in range(panel.d)])
+    for s in panel.subjects:
+        label = "" if s.label is None else str(s.label)
+        for t, x in zip(s.times, s.observations):
+            writer.writerow([s.subject_id, int(t), label] + [repr(float(v)) for v in x])
+    return buf.getvalue().encode("utf-8")
+
+
 @PROPERTY_SETTINGS
 @given(panels())
 def test_csv_write_load_write_is_byte_stable(panel):
@@ -47,6 +71,8 @@ def test_csv_write_load_write_is_byte_stable(panel):
         loaded = load_panel(first)
         write_panel(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+        assert first.read_bytes() == csv_writer_bytes(panel)
+        assert load_observed_labels(first) == panel.observed_labels()
     assert loaded.subject_ids == panel.subject_ids
     for got, want in zip(loaded.subjects, panel.subjects):
         assert got.label == want.label
