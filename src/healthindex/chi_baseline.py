@@ -74,6 +74,9 @@ class _Design:
 
     x_labeled: np.ndarray  # (N_lab, d) terminal visits of labeled subjects
     y_labeled: np.ndarray  # (N_lab,)
+    # y * x_labeled by rows: y = +-1 only flips signs, so yx @ w + y * b
+    # equals y * (x @ w + b) bit for bit
+    yx_labeled: np.ndarray
     diffs: np.ndarray  # (M, d) consecutive-visit differences, all subjects
     centered_pos: np.ndarray  # (N+, d) terminal visits minus positive center
     centered_neg: np.ndarray  # (N-, d)
@@ -97,39 +100,47 @@ def _build_design(panel: LongitudinalPanel) -> _Design:
     neg = x_labeled[y_labeled == NEGATIVE]
     centered_pos = pos - pos.mean(axis=0) if len(pos) else np.empty((0, d))
     centered_neg = neg - neg.mean(axis=0) if len(neg) else np.empty((0, d))
-    return _Design(x_labeled, y_labeled, diffs, centered_pos, centered_neg)
+    return _Design(
+        x_labeled,
+        y_labeled,
+        y_labeled[:, None] * x_labeled,
+        diffs,
+        centered_pos,
+        centered_neg,
+    )
 
 
 def _evaluate(
     design: _Design, w: np.ndarray, b: float, hyper: ChiHyperparams
 ) -> tuple[float, np.ndarray, float]:
     """Objective value and the subgradient of every term except the L1
-    penalty (handled by prox), from one product of each design block with w."""
+    penalty (handled by prox), from one product of each design block with w.
+
+    Callers ignore overflow and invalid values once around all their
+    evaluations: a diverged iterate is caught by their finite check."""
     g_w = w.copy()
     g_b = 0.0
-    # overflow on a diverged iterate is caught by the caller's finite check
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = 0.5 * float(w @ w)
-        if len(design.y_labeled):
-            margins = design.y_labeled * (design.x_labeled @ w + b)
-            value += hyper.beta * float(np.maximum(0.0, 1.0 - margins).sum())
-            active = margins < 1.0
-            if np.any(active):
-                ya = design.y_labeled[active]
-                g_w -= hyper.beta * (ya @ design.x_labeled[active])
-                g_b -= hyper.beta * float(ya.sum())
-        if len(design.diffs):
-            rises = design.diffs @ w
-            value += hyper.alpha * float(np.maximum(0.0, 1.0 - rises).sum())
-            active = rises < 1.0
-            if np.any(active):
-                g_w -= hyper.alpha * design.diffs[active].sum(axis=0)
-        for centered in (design.centered_pos, design.centered_neg):
-            if len(centered):
-                proj = centered @ w
-                value += 0.5 * hyper.lambda_var * float(proj @ proj) / len(centered)
-                g_w += hyper.lambda_var * (centered.T @ proj) / len(centered)
-        value += hyper.gamma_l1 * float(np.abs(w).sum())
+    value = 0.5 * float(w @ w)
+    if len(design.y_labeled):
+        margins = design.yx_labeled @ w + design.y_labeled * b
+        value += hyper.beta * float(np.maximum(0.0, 1.0 - margins).sum())
+        active = margins < 1.0
+        if np.any(active):
+            ya = design.y_labeled[active]
+            g_w -= hyper.beta * (ya @ design.x_labeled[active])
+            g_b -= hyper.beta * float(ya.sum())
+    if len(design.diffs):
+        rises = design.diffs @ w
+        value += hyper.alpha * float(np.maximum(0.0, 1.0 - rises).sum())
+        active = rises < 1.0
+        if np.any(active):
+            g_w -= hyper.alpha * design.diffs[active].sum(axis=0)
+    for centered in (design.centered_pos, design.centered_neg):
+        if len(centered):
+            proj = centered @ w
+            value += 0.5 * hyper.lambda_var * float(proj @ proj) / len(centered)
+            g_w += hyper.lambda_var * (centered.T @ proj) / len(centered)
+    value += hyper.gamma_l1 * float(np.abs(w).sum())
     return value, g_w, g_b
 
 
@@ -143,7 +154,8 @@ def chi_objective(
     """Exact objective value; absent classes contribute nothing."""
     if model.d != panel.d:
         raise DimensionMismatch(f"model has d={model.d}, panel has d={panel.d}")
-    return _evaluate(_build_design(panel), model.w, model.b, hyper)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _evaluate(_build_design(panel), model.w, model.b, hyper)[0]
 
 
 def chi_train(
@@ -169,21 +181,21 @@ def chi_train(
     w = np.zeros(panel.d)
     b = 0.0
     best_w, best_b = w, b
-    best_value, g_w, g_b = _evaluate(design, w, b, hyper)
-
-    for k in range(1, steps + 1):
-        step = step_size / np.sqrt(k)
-        w = _soft_threshold(w - step * g_w, step * hyper.gamma_l1)
-        b = b - step * g_b
-        value, g_w, g_b = _evaluate(design, w, b, hyper)
-        if not np.isfinite(value):
-            raise NonFiniteObjective(
-                f"objective became non-finite at step {k} "
-                f"(step_size={step_size}); reduce the step size",
-                iteration=k,
-            )
-        if value < best_value:
-            best_value, best_w, best_b = value, w, b
+    with np.errstate(over="ignore", invalid="ignore"):
+        best_value, g_w, g_b = _evaluate(design, w, b, hyper)
+        for k in range(1, steps + 1):
+            step = step_size / np.sqrt(k)
+            w = _soft_threshold(w - step * g_w, step * hyper.gamma_l1)
+            b = b - step * g_b
+            value, g_w, g_b = _evaluate(design, w, b, hyper)
+            if not np.isfinite(value):
+                raise NonFiniteObjective(
+                    f"objective became non-finite at step {k} "
+                    f"(step_size={step_size}); reduce the step size",
+                    iteration=k,
+                )
+            if value < best_value:
+                best_value, best_w, best_b = value, w, b
 
     return ChiModel(best_w, best_b)
 

@@ -205,8 +205,7 @@ C_POLICY_SWEEP = "sweep"
 
 # ExperimentSpec fields that must hold a plain int (a bool is refused)
 _INT_FIELDS = ("n_seeds", "cv_folds", "chi_steps", "solver_max_iter", "seed")
-# ExperimentSpec fields that must hold a real number (a bool is refused);
-# fixed_c may also be None
+# ExperimentSpec fields that must hold a real number (a bool is refused)
 _REAL_FIELDS = ("solver_tol", "fixed_c", "chi_step_size")
 
 
@@ -251,8 +250,6 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            if value is None and name == "fixed_c":
-                continue
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not isinstance(self.chi_hyper, ChiHyperparams):

@@ -35,6 +35,8 @@ BOX_MARGIN = 1e-8
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 ARMIJO_SIGMA = 1e-4
+# the potential presolve stops once its Newton decrement is this many ulps of F
+DECREMENT_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def projected_gradient(lam: np.ndarray, grad: np.ndarray, upper: float) -> np.nd
 
 def _presolve_potential(
     problem: DualProblem, v0: np.ndarray | None = None, max_iter: int = 150
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Warm-start multipliers from the d-dimensional potential problem.
 
     Eliminating lambda coordinate-wise turns the dual into an unconstrained
@@ -173,59 +175,60 @@ def _presolve_potential(
 
     where phi(t) is the per-subject maximum of lam + log(1 - lam/c) - lam*t
     over the box, with maximizer lam*(t) = clip(c - 1/(1 - t)). Newton on F
-    has Hessian I + A^T W A (eigenvalues >= 1), so it is immune to the
+    has Hessian H = I + A^T W A (eigenvalues >= 1), so it is immune to the
     Gram conditioning that slows lambda-space ascent when N > d. Newton
     starts from ``v0`` when given, else from v = 0.
+
+    Newton stops on its decrement (Boyd & Vandenberghe, Convex Optimization,
+    sec. 9.5.1): once grad . H^-1 grad <= DECREMENT_ULPS * eps * max(1, |F|),
+    a full step would lower F by about half that, below F's float
+    resolution, so no line search could tell it apart from rounding. It
+    also stops at an exactly zero gradient, or when 40 step halvings find no
+    decrease. Returns the last accepted v and lam*(A v), from the same
+    evaluation that accepted v; the lambda-space loop of ``solve_dual``
+    certifies the multipliers.
     """
     aggs = problem.aggregates
     c = problem.c
     upper = problem.box_upper
-    d = aggs.shape[1]
     knee = 1.0 - 1.0 / c
+    floor = DECREMENT_ULPS * np.finfo(float).eps
 
-    def lam_of(t):
-        with np.errstate(divide="ignore", over="ignore"):
-            lam = c - 1.0 / (1.0 - t)
-        return np.clip(np.where(t < knee, lam, 0.0), 0.0, upper)
-
-    def value(v):
+    def evaluate(v):
+        """F(v), t = A v and lam*(t)."""
         t = aggs @ v
-        lam = lam_of(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            barrier = np.where(lam > 0.0, lam + np.log1p(-lam / c), 0.0)
-        return 0.5 * float(v @ v) + float(np.sum(barrier - lam * t))
+        lam = np.clip(np.where(t < knee, c - 1.0 / (1.0 - t), 0.0), 0.0, upper)
+        barrier = np.where(lam > 0.0, lam + np.log1p(-lam / c), 0.0)
+        return 0.5 * float(v @ v) + float(np.sum(barrier - lam * t)), t, lam
 
-    v = np.zeros(d) if v0 is None else np.array(v0, dtype=float)
-    t = aggs @ v
-    lam = lam_of(t)
-    f_value = value(v)
-    for _ in range(max_iter):
-        grad = v - aggs.T @ lam
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= 1e-12 * max(1.0, float(np.linalg.norm(v))):
-            break
-        weights = np.where((lam > 0.0) & (lam < upper), 1.0 / (1.0 - t) ** 2, 0.0)
-        hessian = aggs.T @ (aggs * weights[:, None])
-        hessian[np.diag_indices_from(hessian)] += 1.0
-        try:
-            step_dir = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            step_dir = grad
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            candidate = v - step * step_dir
-            cand_value = value(candidate)
-            if cand_value < f_value:
-                v, f_value = candidate, cand_value
-                accepted = True
+    v = np.zeros(aggs.shape[1]) if v0 is None else np.array(v0, dtype=float)
+    # 1/(1 - t) and the barrier blow up only off the branch np.where keeps
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        f_value, t, lam = evaluate(v)
+        for _ in range(max_iter):
+            grad = v - aggs.T @ lam
+            if not np.any(grad):
                 break
-            step *= 0.5
-        if not accepted:
-            break
-        t = aggs @ v
-        lam = lam_of(t)
-    return lam_of(aggs @ v)
+            weights = np.where((lam > 0.0) & (lam < upper), 1.0 / (1.0 - t) ** 2, 0.0)
+            hessian = aggs.T @ (aggs * weights[:, None])
+            hessian[np.diag_indices_from(hessian)] += 1.0
+            try:
+                step_dir = np.linalg.solve(hessian, grad)
+            except np.linalg.LinAlgError:
+                step_dir = grad
+            if float(grad @ step_dir) <= floor * max(1.0, abs(f_value)):
+                break
+            step = 1.0
+            for _ in range(40):
+                candidate = v - step * step_dir
+                cand_value, cand_t, cand_lam = evaluate(candidate)
+                if cand_value < f_value:
+                    v, f_value, t, lam = candidate, cand_value, cand_t, cand_lam
+                    break
+                step *= 0.5
+            else:
+                break
+    return v, lam
 
 
 def solve_dual(
@@ -314,7 +317,7 @@ def solve_dual(
         return grad, float(np.linalg.norm(projected_gradient(lam, grad, upper)))
 
     if d < n_subjects and np.any(aggs):
-        lam = _presolve_potential(problem, None if start is None else aggs.T @ start)
+        _, lam = _presolve_potential(problem, None if start is None else aggs.T @ start)
     elif start is not None:
         lam = start
     else:

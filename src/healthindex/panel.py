@@ -64,9 +64,6 @@ class Standardization:
     def transform(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.mean) / self.scale
 
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self.scale + self.mean
-
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
 
@@ -175,12 +172,6 @@ class LongitudinalPanel:
 
     def observed_labels(self) -> dict[str, int]:
         return {s.subject_id: s.label for s in self.subjects if s.label is not None}
-
-    def label_counts(self) -> tuple[int, int, int]:
-        """(n_positive, n_negative, n_unobserved)."""
-        pos = sum(1 for s in self.subjects if s.label == POSITIVE)
-        neg = sum(1 for s in self.subjects if s.label == NEGATIVE)
-        return pos, neg, self.n_subjects - pos - neg
 
 
 def aggregates(panel: LongitudinalPanel) -> np.ndarray:

@@ -273,6 +273,7 @@ class TestSweep:
             ({"solver_tol": "x"}, "solver_tol must be a real number, got 'x'"),
             ({"fixed_c": True}, "fixed_c must be a real number, got True"),
             ({"chi_step_size": "0.1"}, "chi_step_size must be a real number, got '0.1'"),
+            ({"c_policy": "fixed", "fixed_c": None}, "fixed_c must be a real number, got None"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, payload, named):

@@ -7,7 +7,9 @@ import pytest
 
 from oracles import cross_validate_c_cold
 
+from healthindex import harness
 from healthindex.chi_baseline import ChiHyperparams
+from healthindex.errors import NonConvergence
 from healthindex.harness import (
     C_POLICY_FIXED,
     C_POLICY_SWEEP,
@@ -18,6 +20,7 @@ from healthindex.harness import (
     run_pipeline,
     train_uqchi,
 )
+from healthindex.med_core import DualSolution
 from healthindex.panel import LongitudinalPanel, SubjectSeries, standardize
 from healthindex.simulator import SimConfig, simulate
 
@@ -208,6 +211,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(sim=None, panel_csv=None)
 
+    def test_fixed_policy_needs_a_rate(self):
+        # None would make the fixed cell cross-validate while logging "None"
+        with pytest.raises(ValueError, match="fixed_c must be a real number, got None"):
+            ExperimentSpec(c_policy=C_POLICY_FIXED, fixed_c=None)
+
     def test_json_round_trip(self, tmp_path):
         spec = tiny_spec(chi_hyper=ChiHyperparams(alpha=2.0))
         path = tmp_path / "spec.json"
@@ -283,11 +291,24 @@ class TestRunPipeline:
         errors = [r["error"] for r in result.runs]
         assert all(e is not None for e in errors)
 
-    def test_failed_uqchi_cells_recorded_not_fatal(self):
-        # a tolerance of 1e-300 lies below the float floor of the projected
-        # gradient, so every uqchi solve on this spec raises NonConvergence;
-        # chi does not use the dual solver
-        spec = tiny_spec(solver_tol=1e-300)
+    def test_failed_uqchi_cells_recorded_not_fatal(self, monkeypatch):
+        # every dual solve the harness makes raises NonConvergence carrying a
+        # partial solution, as the solver does when it cannot certify, so
+        # every uqchi cell fails; chi does not use the dual solver
+        (expected,) = [r for r in run_pipeline(tiny_spec()).table.rows if r.method == "chi"]
+
+        def uncertified_solve(problem, **kwargs):
+            partial = DualSolution(
+                lam=np.zeros(problem.n_subjects),
+                objective=0.0,
+                grad_norm=1.0,
+                iterations=0,
+                converged=False,
+            )
+            raise NonConvergence("projected gradient norm 1.000e+00", solution=partial)
+
+        monkeypatch.setattr(harness, "solve_dual", uncertified_solve)
+        spec = tiny_spec()
         result = run_pipeline(spec)
         uq_runs = [r for r in result.runs if r["method"] == "uqchi"]
         assert len(uq_runs) == spec.n_seeds * len(spec.rejection_rates)
@@ -304,7 +325,6 @@ class TestRunPipeline:
             assert row.mean_accuracy is None and row.std_accuracy is None
             assert row.mean_abstained is None
         (chi_row,) = [r for r in result.table.rows if r.method == "chi"]
-        (expected,) = [r for r in run_pipeline(tiny_spec()).table.rows if r.method == "chi"]
         assert chi_row == expected and chi_row.n_failed == 0
 
     def test_table_recomputable_from_runs(self):

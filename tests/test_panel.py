@@ -65,7 +65,7 @@ class TestCsvLoading:
         panel = load_panel(path)
         assert panel.n_subjects == 2
         assert panel.d == 2
-        assert panel.label_counts() == (1, 0, 1)
+        assert panel.labels() == {"a": 1, "b": None}
         a = panel.subjects[0]
         assert a.subject_id == "a"
         assert a.label == 1
@@ -311,13 +311,6 @@ class TestAggregates:
 
 
 class TestStandardization:
-    def test_round_trip_within_tolerance(self):
-        rng = np.random.default_rng(3)
-        panel = random_panel(rng, n_subjects=5, d=4)
-        std = fit_standardization(panel)
-        x = rng.normal(size=4) * 10
-        np.testing.assert_allclose(std.inverse(std.transform(x)), x, atol=1e-12)
-
     def test_standardized_panel_has_zero_mean_unit_variance(self):
         rng = np.random.default_rng(4)
         panel = random_panel(rng, n_subjects=8, d=3)
