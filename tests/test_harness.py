@@ -210,8 +210,6 @@ class TestExperimentSpec:
             ExperimentSpec(c_policy="random")
         with pytest.raises(ValueError):
             ExperimentSpec(sim=None, panel_csv=None)
-
-    def test_fixed_policy_needs_a_rate(self):
         # None would make the fixed cell cross-validate while logging "None"
         with pytest.raises(ValueError, match="fixed_c must be a real number, got None"):
             ExperimentSpec(c_policy=C_POLICY_FIXED, fixed_c=None)
