@@ -9,9 +9,10 @@ over the box 0 <= lam_n < c, where a_n is the per-subject aggregate vector
 and c is the rate of the exponential margin prior. J is smooth and strictly
 concave on the open box (the log barrier diverges at lam_n = c), so the
 optimum is unique and certified by the projected-gradient KKT conditions.
-The solver runs one damped projected Newton loop in multiplier space,
-warm-started from an equivalent d-dimensional strongly convex problem when
-there are more subjects than features, or from a caller's multipliers.
+The solver runs one projected Newton loop in multiplier space, one Newton
+system per step and an Armijo search along the projection arc, warm-started
+from an equivalent d-dimensional strongly convex problem when there are
+more subjects than features, or from a caller's multipliers.
 The weight posterior under a standard normal prior is N(v(lam*), I).
 """
 
@@ -35,6 +36,7 @@ BOX_MARGIN = 1e-8
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 ARMIJO_SIGMA = 1e-4
+MAX_HALVINGS = 40  # of the step, before a line search gives up
 # the potential presolve stops once its Newton decrement is this many ulps of F
 DECREMENT_ULPS = 64
 
@@ -55,6 +57,9 @@ class DualProblem:
         arr = np.array(self.aggregates, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise DimensionMismatch("aggregates must be a non-empty (N, d) matrix")
+        finite = np.isfinite(arr).all(axis=1)
+        if not finite.all():
+            raise DomainError(f"aggregate row {int(np.argmin(finite))} is not finite")
         arr.setflags(write=False)
         object.__setattr__(self, "aggregates", arr)
         object.__setattr__(self, "c", float(self.c))
@@ -183,10 +188,10 @@ def _presolve_potential(
     sec. 9.5.1): once grad . H^-1 grad <= DECREMENT_ULPS * eps * max(1, |F|),
     a full step would lower F by about half that, below F's float
     resolution, so no line search could tell it apart from rounding. It
-    also stops at an exactly zero gradient, or when 40 step halvings find no
-    decrease. Returns the last accepted v and lam*(A v), from the same
-    evaluation that accepted v; the lambda-space loop of ``solve_dual``
-    certifies the multipliers.
+    also stops at an exactly zero gradient, or when MAX_HALVINGS step
+    halvings find no decrease. Returns the last accepted v and lam*(A v),
+    from the same evaluation that accepted v; the lambda-space loop of
+    ``solve_dual`` certifies the multipliers.
     """
     aggs = problem.aggregates
     c = problem.c
@@ -211,7 +216,7 @@ def _presolve_potential(
                 break
             weights = np.where((lam > 0.0) & (lam < upper), 1.0 / (1.0 - t) ** 2, 0.0)
             hessian = aggs.T @ (aggs * weights[:, None])
-            hessian[np.diag_indices_from(hessian)] += 1.0
+            hessian.flat[:: hessian.shape[0] + 1] += 1.0
             try:
                 step_dir = np.linalg.solve(hessian, grad)
             except np.linalg.LinAlgError:
@@ -219,7 +224,7 @@ def _presolve_potential(
             if float(grad @ step_dir) <= floor * max(1.0, abs(f_value)):
                 break
             step = 1.0
-            for _ in range(40):
+            for _ in range(MAX_HALVINGS):
                 candidate = v - step * step_dir
                 cand_value, cand_t, cand_lam = evaluate(candidate)
                 if cand_value < f_value:
@@ -237,21 +242,23 @@ def solve_dual(
     max_iter: int = DEFAULT_MAX_ITER,
     start: Sequence[float] | None = None,
 ) -> DualSolution:
-    """Damped projected Newton ascent on the box [0, c)^N to a KKT certificate.
+    """Projected Newton ascent on the box [0, c)^N to a KKT certificate.
 
     Starts from the potential presolve when N > d, else from a constant
-    interior point, and takes two-metric Levenberg-damped Newton steps.
-    A ``start`` multiplier vector (length N, for instance a neighbouring
-    problem's optimum) replaces the cold start: clipped into the box, it is
-    the first iterate when N <= d; when N > d it only seeds the presolve,
-    at v = A^T start, because lambda-space Newton crawls on the Gram
-    conditioning there.
-    While a step's predicted gain grad . step exceeds J's float resolution,
-    it must pass the Armijo test on J; below that, rounding hides J's
-    progress, so it must strictly shrink the projected-gradient norm
-    instead. Exits once that norm reaches ``tol``, which certifies the KKT
-    conditions componentwise; otherwise raises ``NonConvergence`` carrying
-    the last iterate. ``iterations`` counts accepted steps. Deterministic.
+    interior point. A ``start`` multiplier vector (length N), clipped into
+    the box, is the first iterate when N <= d; when N > d, where
+    lambda-space Newton crawls on the Gram conditioning, it seeds the
+    presolve at v = A^T start. Each step solves one two-metric Newton
+    system and halves t up to MAX_HALVINGS times on the projection arc
+    clip(lam + t * direction) (Bertsekas, SIAM J. Control Optim. 20(2),
+    1982), then on the projected-gradient arc (direction = grad) if no point
+    passed. While the predicted gain grad . step exceeds J's float
+    resolution, a point must pass the Armijo test on J; below it, rounding
+    hides J's progress, so it must strictly shrink the projected-gradient
+    norm, which short gradient steps do but a coupled Newton move need not.
+    Exits once that norm reaches ``tol``, which certifies the KKT conditions
+    componentwise; otherwise raises ``NonConvergence`` carrying the last
+    iterate. ``iterations`` counts accepted steps. Deterministic.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -273,19 +280,15 @@ def solve_dual(
     row_sq = np.einsum("nd,nd->n", aggs, aggs)
     edge = 1e-12 * problem.c
 
-    def newton_direction(lam, grad, damping):
-        """Two-metric damped Newton step.
+    def newton_direction(lam, grad):
+        """Two-metric Newton step; undamped, as the arc search bounds it.
 
         Coordinates within the projected-gradient displacement of a bound
-        and pushing outward are treated first order (diagonal metric), so the
-        Newton block only couples coordinates that stay interior; clipping a
-        raw Newton step otherwise wrecks the coupled move. The Hessian of -J
-        is diag(1/(c - lam)^2) + A A^T, whose spectrum spans the tiny barrier
-        curvature up to the largest Gram eigenvalue; Levenberg damping bounds
-        the step on the near-null Gram directions, and the Woodbury form
-        keeps the linear system well conditioned when d < N.
-        """
-        curvature = 1.0 / (problem.c - lam) ** 2 + damping
+        and pushing outward get a diagonal metric, so the Newton block on the
+        Hessian diag(1/(c - lam)^2) + A A^T of -J (Woodbury form when d < N)
+        couples only coordinates that stay interior; clipping a raw Newton
+        step otherwise wrecks the coupled move."""
+        curvature = 1.0 / (problem.c - lam) ** 2
         displacement = np.clip(lam + grad, 0.0, upper) - lam
         eps_active = max(edge, min(0.01 * problem.c, float(np.linalg.norm(displacement))))
         near_low = (lam <= eps_active) & (grad < 0.0)
@@ -300,21 +303,44 @@ def solve_dual(
         try:
             if a_free.shape[0] <= d:
                 hessian = a_free @ a_free.T
-                hessian[np.diag_indices_from(hessian)] += curv_free
+                hessian.flat[:: hessian.shape[0] + 1] += curv_free
                 direction[free] = np.linalg.solve(hessian, g_free)
             else:
                 scaled = a_free / curv_free[:, None]
                 core = a_free.T @ scaled
-                core[np.diag_indices_from(core)] += 1.0
+                core.flat[:: d + 1] += 1.0
                 rhs = scaled.T @ g_free
                 direction[free] = g_free / curv_free - scaled @ np.linalg.solve(core, rhs)
         except np.linalg.LinAlgError:
             pass
         return direction
 
-    def gradient_at(lam):
-        grad = dual_gradient(lam, problem)
+    # dual_objective/dual_gradient, same floats, unchecked: every iterate is in the box
+    def objective(lam):
+        v = aggs.T @ lam
+        return float(lam.sum() + np.log1p(-lam / problem.c).sum() - 0.5 * v @ v), v
+
+    def gradient_at(lam, v):
+        grad = 1.0 - 1.0 / (problem.c - lam) - aggs @ v
         return grad, float(np.linalg.norm(projected_gradient(lam, grad, upper)))
+
+    def arc_search(lam, obj, grad, pg_norm, direction):
+        """First accepted point of clip(lam + t * direction), halving t; or None."""
+        # below this predicted gain the Armijo test compares rounding noise
+        resolution = np.finfo(float).eps / ARMIJO_SIGMA * max(1.0, abs(obj))
+        step = 1.0
+        for _ in range(MAX_HALVINGS):
+            candidate = np.clip(lam + step * direction, 0.0, upper)
+            gain = float(grad @ (candidate - lam))
+            if gain > 0.0:
+                cand_obj, cand_v = objective(candidate)
+                armijo = gain > resolution
+                if not armijo or cand_obj >= obj + ARMIJO_SIGMA * gain:
+                    cand_grad, cand_pg_norm = gradient_at(candidate, cand_v)
+                    if armijo or cand_pg_norm < pg_norm:
+                        return candidate, cand_obj, cand_grad, cand_pg_norm
+            step *= 0.5
+        return None
 
     if d < n_subjects and np.any(aggs):
         _, lam = _presolve_potential(problem, None if start is None else aggs.T @ start)
@@ -323,39 +349,17 @@ def solve_dual(
     else:
         cold = min(0.5, max((problem.c - 1.0) / 2.0, 1e-3), upper / 2.0)
         lam = np.full(n_subjects, cold)
-    obj = dual_objective(lam, problem)
-    grad, pg_norm = gradient_at(lam)
-    damping = 0.0
+    obj, v = objective(lam)
+    grad, pg_norm = gradient_at(lam, v)
     iterations = 0
 
     while pg_norm > tol and iterations < max_iter:
-        # below this predicted gain the Armijo test compares rounding noise
-        resolution = np.finfo(float).eps / ARMIJO_SIGMA * max(1.0, abs(obj))
-        accepted = False
-        # Levenberg schedule: grow damping until a step is accepted,
-        # relax it again afterwards so the endgame is pure Newton
-        while not accepted and damping <= 1e14:
-            candidate = np.clip(lam + newton_direction(lam, grad, damping), 0.0, upper)
-            gain = float(grad @ (candidate - lam))
-            cand_grad = None
-            if gain > 0.0:
-                cand_obj = dual_objective(candidate, problem)
-                if gain > resolution:
-                    accepted = cand_obj >= obj + ARMIJO_SIGMA * gain
-                else:
-                    cand_grad, cand_pg_norm = gradient_at(candidate)
-                    accepted = cand_pg_norm < pg_norm
-            if not accepted:
-                damping = max(damping * 10.0, 1e-8)
-        if not accepted:
+        accepted = arc_search(lam, obj, grad, pg_norm, newton_direction(lam, grad))
+        accepted = accepted or arc_search(lam, obj, grad, pg_norm, grad)
+        if accepted is None:
             break
-        lam, obj = candidate, cand_obj
-        damping = 0.0 if damping < 1e-10 else damping / 8.0
+        lam, obj, grad, pg_norm = accepted
         iterations += 1
-        if cand_grad is None:
-            grad, pg_norm = gradient_at(lam)
-        else:
-            grad, pg_norm = cand_grad, cand_pg_norm
 
     solution = DualSolution(
         lam=lam,

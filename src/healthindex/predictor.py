@@ -70,7 +70,13 @@ class IndexTrajectory:
 
 def index_trajectory(posterior: WeightPosterior, series: SubjectSeries) -> IndexTrajectory:
     """Index mean v.x_t and std ||x_t|| per visit, with a count of visits
-    where the mean index decreases."""
+    where the mean index decreases.
+
+    The means come from one matrix-vector product over all visits and the
+    stds from a row-wise norm, so the last visit's values can differ in the
+    last bits from the ``index_mean`` and ``index_std`` that
+    ``predict_panel`` computes for the same visit with a per-row dot
+    product and a vector norm."""
     if series.d != posterior.d:
         raise DimensionMismatch(
             f"series has d={series.d}, posterior has d={posterior.d}"

@@ -166,6 +166,19 @@ class TestDualGradient:
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-6)
 
 
+class TestDualProblem:
+    @pytest.mark.parametrize(
+        "rows, bad_row",
+        [
+            ([[math.nan, 1.0], [1.0, 2.0]], 0),
+            ([[1.0, 2.0], [math.inf, 1.0], [-math.inf, 0.0]], 1),
+        ],
+    )
+    def test_non_finite_aggregates_rejected(self, rows, bad_row):
+        with pytest.raises(DomainError, match=f"row {bad_row} "):
+            DualProblem(np.array(rows), c=2.0)
+
+
 class TestSolveDual:
     def test_barrier_only_solution(self):
         problem = DualProblem(np.zeros((4, 2)), c=3.0)
@@ -226,6 +239,30 @@ class TestSolveDual:
         assert partial is not None and not partial.converged
         assert partial.grad_norm > 0
 
+    @pytest.mark.parametrize("c", [1.5, 100.0])
+    def test_one_newton_system_per_step(self, c, monkeypatch):
+        """A cold N <= d solve factors one Newton system per accepted step,
+        plus at most one for a final search that finds no acceptable point."""
+        solve = np.linalg.solve
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        agg = np.random.default_rng(0).normal(0.0, 0.3, size=(70, 90))
+        solution = solve_dual(DualProblem(agg, c))
+        assert 0 < len(calls) <= solution.iterations + 1
+
+    def test_gradient_arc_takes_over_from_a_failed_newton_arc(self):
+        """At N >> d, entries of scale 20 and c = 100, no point on the Newton
+        arc passes after 23 steps; the projected-gradient arc carries the
+        solve on to its certificate."""
+        agg = np.random.default_rng(3).normal(size=(200, 20)) * 20.0
+        problem = DualProblem(agg, c=100.0)
+        assert_kkt_certificate(problem, solve_dual(problem), DEFAULT_TOL)
+
     def test_hopeless_scale_gives_up_quickly(self):
         # at |a| ~ 1e6 with N > d the 1e-8 certificate is out of reach; the
         # solver must say so after a bounded number of steps
@@ -267,6 +304,20 @@ def test_solver_fixture_kkt_certificate(name):
     agg, c = SOLVER_FIXTURES[name]()
     problem = DualProblem(agg, c)
     assert_kkt_certificate(problem, solve_dual(problem, tol=1e-8), tol=1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_FIXTURES))
+def test_solver_fixture_reports_checked_values(name):
+    """The loop evaluates J and its gradient without input checks; the
+    objective and norm it reports must equal the checked public functions
+    at its multipliers bit for bit."""
+    agg, c = SOLVER_FIXTURES[name]()
+    problem = DualProblem(agg, c)
+    solution = solve_dual(problem, tol=1e-8)
+    assert solution.objective == dual_objective(solution.lam, problem)
+    grad = dual_gradient(solution.lam, problem)
+    pg = projected_gradient(solution.lam, grad, problem.box_upper)
+    assert solution.grad_norm == np.linalg.norm(pg)
 
 
 def _neighbour_start(agg, c, c_prev=1.5):

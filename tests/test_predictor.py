@@ -17,6 +17,7 @@ from healthindex.predictor import (
     reject_by_threshold,
     write_predictions,
 )
+from healthindex.simulator import SimConfig, simulate
 
 # 97.5% quantile of the standard normal, checked against Phi by hand
 Z_975 = 1.959964
@@ -114,6 +115,16 @@ class TestIndexTrajectory:
         post = WeightPosterior(np.array([1.0]))
         traj = index_trajectory(post, series([[3.0], [2.0]]))
         assert traj.monotonicity_violations == 1
+
+    def test_last_visit_matches_prediction_record(self):
+        """The trajectory's gemv and row norms agree with the per-subject
+        record of the terminal visit up to the last bits."""
+        panel, _ = simulate(SimConfig(d=90, seed=3))
+        post = WeightPosterior(np.random.default_rng(3).normal(size=90))
+        for s, rec in zip(panel.subjects, predict_panel(post, panel)):
+            traj = index_trajectory(post, s)
+            assert traj.means[-1] == pytest.approx(rec.index_mean, rel=1e-12)
+            assert traj.stds[-1] == pytest.approx(rec.index_std, rel=1e-12)
 
 
 class TestRejectByThreshold:
