@@ -256,9 +256,9 @@ class TestSolveDual:
         assert 0 < len(calls) <= solution.iterations + 1
 
     def test_gradient_arc_takes_over_from_a_failed_newton_arc(self):
-        """At N >> d, entries of scale 20 and c = 100, no point on the Newton
-        arc passes after 23 steps; the projected-gradient arc carries the
-        solve on to its certificate."""
+        """At N >> d, entries of scale 20 and c = 100, the Newton arc alone
+        stops short of the certificate (no point on it passes); the
+        projected-gradient arc carries the solve on to it."""
         agg = np.random.default_rng(3).normal(size=(200, 20)) * 20.0
         problem = DualProblem(agg, c=100.0)
         assert_kkt_certificate(problem, solve_dual(problem), DEFAULT_TOL)
