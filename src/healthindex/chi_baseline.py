@@ -5,11 +5,16 @@ visits, hinge losses pushing consecutive-visit index differences above one
 (monotone degradation), within-class variance of the terminal index around
 each class center, and an L1 penalty handled by soft thresholding. Labeled
 subjects feed the hinge and variance terms; every subject feeds the
-monotonicity term.
+monotonicity term. Training runs on theta = (w, b): every hinge term is one
+weighted row of a single stacked matrix, the ridge and variance terms one
+quadratic form, so a step is two products with that matrix, one with the
+(d + 1)-square form and a soft threshold that leaves b alone.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -24,7 +29,7 @@ from .panel import NEGATIVE, POSITIVE, LongitudinalPanel
 
 @dataclass(frozen=True)
 class ChiHyperparams:
-    """Non-negative term weights.
+    """Finite non-negative term weights.
 
     Defaults come from a 10-fold cross-validated sweep of the grid
     {0.1, 1, 10} per weight on default synthetic panels, keeping the
@@ -38,8 +43,11 @@ class ChiHyperparams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "lambda_var", "gamma_l1"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -70,82 +78,69 @@ class ChiModel:
 
 @dataclass(frozen=True)
 class _Design:
-    """Matrices extracted once from a panel for objective/gradient evaluation."""
+    """The objective in theta = (w, b), built once from a panel.
 
-    x_labeled: np.ndarray  # (N_lab, d) terminal visits of labeled subjects
-    y_labeled: np.ndarray  # (N_lab,)
-    # y * x_labeled by rows: y = +-1 only flips signs, so yx @ w + y * b
-    # equals y * (x @ w + b) bit for bit
-    yx_labeled: np.ndarray
-    diffs: np.ndarray  # (M, d) consecutive-visit differences, all subjects
-    centered_pos: np.ndarray  # (N+, d) terminal visits minus positive center
-    centered_neg: np.ndarray  # (N-, d)
+    Every hinge term is weight * max(0, 1 - row . theta) for one row of
+    ``rows``: y * [x, 1] for each labeled terminal visit x (weight beta) and
+    [diff, 0] for each consecutive-visit difference (weight alpha). The ridge
+    and within-class variance terms make up 0.5 * theta . quad @ theta, with
+    quad = I_d (+) 0 + lambda_var * sum over classes of C^T C / n_class, C
+    the class's terminal visits minus their center.
+    """
+
+    rows: np.ndarray  # (N_lab + M, d + 1)
+    weights: np.ndarray  # (N_lab + M,)
+    quad: np.ndarray  # (d + 1, d + 1)
+    l1: np.ndarray  # (d + 1,) gamma_l1 per weight, 0 for the intercept
 
 
-def _build_design(panel: LongitudinalPanel) -> _Design:
+def _build_design(panel: LongitudinalPanel, hyper: ChiHyperparams) -> _Design:
     d = panel.d
-    x_lab, y_lab, diff_blocks = [], [], []
+    labeled = [s for s in panel.subjects if s.label is not None]
+    n_lab = len(labeled)
+    n_rows = n_lab + sum(s.n_visits - 1 for s in panel.subjects)
+    rows = np.zeros((n_rows, d + 1))
+    for i, s in enumerate(labeled):
+        rows[i, :d] = s.label * s.terminal
+        rows[i, d] = s.label
+    at = n_lab
     for s in panel.subjects:
-        if s.label is not None:
-            x_lab.append(s.terminal)
-            y_lab.append(float(s.label))
-        if s.n_visits > 1:
-            diff_blocks.append(s.visit_diffs())
-    x_labeled = np.array(x_lab, dtype=float).reshape(len(x_lab), d)
-    y_labeled = np.array(y_lab, dtype=float)
-    diffs = (
-        np.vstack(diff_blocks) if diff_blocks else np.empty((0, d))
-    )
-    pos = x_labeled[y_labeled == POSITIVE]
-    neg = x_labeled[y_labeled == NEGATIVE]
-    centered_pos = pos - pos.mean(axis=0) if len(pos) else np.empty((0, d))
-    centered_neg = neg - neg.mean(axis=0) if len(neg) else np.empty((0, d))
-    return _Design(
-        x_labeled,
-        y_labeled,
-        y_labeled[:, None] * x_labeled,
-        diffs,
-        centered_pos,
-        centered_neg,
-    )
+        rows[at : at + s.n_visits - 1, :d] = s.visit_diffs()
+        at += s.n_visits - 1
+    weights = np.full(n_rows, hyper.alpha, dtype=float)
+    weights[:n_lab] = hyper.beta
+    quad = np.eye(d + 1)
+    quad[d, d] = 0.0
+    for label in (POSITIVE, NEGATIVE):
+        members = np.array([s.terminal for s in labeled if s.label == label])
+        if len(members):
+            centered = members - members.mean(axis=0)
+            quad[:d, :d] += (hyper.lambda_var / len(members)) * (centered.T @ centered)
+    l1 = np.full(d + 1, hyper.gamma_l1, dtype=float)
+    l1[d] = 0.0
+    return _Design(rows, weights, quad, l1)
 
 
-def _evaluate(
-    design: _Design, w: np.ndarray, b: float, hyper: ChiHyperparams
-) -> tuple[float, np.ndarray, float]:
-    """Objective value and the subgradient of every term except the L1
-    penalty (handled by prox), from one product of each design block with w.
+def _evaluate(design: _Design, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    """Objective value at theta = (w, b) and the subgradient of every term
+    except the L1 penalty (handled by prox): one product of the hinge rows
+    with theta, one with the active weights, one with the quadratic form.
 
     Callers ignore overflow and invalid values once around all their
     evaluations: a diverged iterate is caught by their finite check."""
-    g_w = w.copy()
-    g_b = 0.0
-    value = 0.5 * float(w @ w)
-    if len(design.y_labeled):
-        margins = design.yx_labeled @ w + design.y_labeled * b
-        value += hyper.beta * float(np.maximum(0.0, 1.0 - margins).sum())
-        active = margins < 1.0
-        if np.any(active):
-            ya = design.y_labeled[active]
-            g_w -= hyper.beta * (ya @ design.x_labeled[active])
-            g_b -= hyper.beta * float(ya.sum())
-    if len(design.diffs):
-        rises = design.diffs @ w
-        value += hyper.alpha * float(np.maximum(0.0, 1.0 - rises).sum())
-        active = rises < 1.0
-        if np.any(active):
-            g_w -= hyper.alpha * design.diffs[active].sum(axis=0)
-    for centered in (design.centered_pos, design.centered_neg):
-        if len(centered):
-            proj = centered @ w
-            value += 0.5 * hyper.lambda_var * float(proj @ proj) / len(centered)
-            g_w += hyper.lambda_var * (centered.T @ proj) / len(centered)
-    value += hyper.gamma_l1 * float(np.abs(w).sum())
-    return value, g_w, g_b
+    margins = design.rows @ theta
+    curved = design.quad @ theta
+    value = (
+        0.5 * float(theta @ curved)
+        + float(design.weights @ np.maximum(0.0, 1.0 - margins))
+        + float(design.l1 @ np.abs(theta))
+    )
+    grad = curved - np.where(margins < 1.0, design.weights, 0.0) @ design.rows
+    return value, grad
 
 
-def _soft_threshold(w: np.ndarray, threshold: float) -> np.ndarray:
-    return np.sign(w) * np.maximum(np.abs(w) - threshold, 0.0)
+def _soft_threshold(x: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
 def chi_objective(
@@ -155,7 +150,7 @@ def chi_objective(
     if model.d != panel.d:
         raise DimensionMismatch(f"model has d={model.d}, panel has d={panel.d}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _evaluate(_build_design(panel), model.w, model.b, hyper)[0]
+        return _evaluate(_build_design(panel, hyper), np.append(model.w, model.b))[0]
 
 
 def chi_train(
@@ -164,7 +159,8 @@ def chi_train(
     steps: int = 400,
     step_size: float = 0.01,
 ) -> ChiModel:
-    """Proximal subgradient descent with step schedule step_size / sqrt(k).
+    """Proximal subgradient descent on theta = (w, b) with step schedule
+    step_size / sqrt(k); the prox soft-thresholds w and leaves b alone.
 
     Returns the best iterate by objective, which is never worse than the
     zero model it starts from. Raises on a non-finite objective.
@@ -174,20 +170,17 @@ def chi_train(
         raise ValueError("steps must be >= 1")
     if step_size <= 0:
         raise ValueError("step_size must be positive")
-    design = _build_design(panel)
-    if not len(design.y_labeled):
+    if not panel.observed_labels():
         raise ValueError("training needs at least one labeled subject")
+    design = _build_design(panel, hyper)
 
-    w = np.zeros(panel.d)
-    b = 0.0
-    best_w, best_b = w, b
+    theta = best = np.zeros(panel.d + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        best_value, g_w, g_b = _evaluate(design, w, b, hyper)
+        best_value, grad = _evaluate(design, theta)
         for k in range(1, steps + 1):
             step = step_size / np.sqrt(k)
-            w = _soft_threshold(w - step * g_w, step * hyper.gamma_l1)
-            b = b - step * g_b
-            value, g_w, g_b = _evaluate(design, w, b, hyper)
+            theta = _soft_threshold(theta - step * grad, step * design.l1)
+            value, grad = _evaluate(design, theta)
             if not np.isfinite(value):
                 raise NonFiniteObjective(
                     f"objective became non-finite at step {k} "
@@ -195,9 +188,9 @@ def chi_train(
                     iteration=k,
                 )
             if value < best_value:
-                best_value, best_w, best_b = value, w, b
+                best_value, best = value, theta
 
-    return ChiModel(best_w, best_b)
+    return ChiModel(best[:-1], best[-1])
 
 
 def chi_predict(model: ChiModel, x: Sequence[float]) -> int:

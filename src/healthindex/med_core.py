@@ -9,10 +9,10 @@ over the box 0 <= lam_n < c, where a_n is the per-subject aggregate vector
 and c is the rate of the exponential margin prior. J is smooth and strictly
 concave on the open box (the log barrier diverges at lam_n = c), so the
 optimum is unique and certified by the projected-gradient KKT conditions.
-The solver runs one projected Newton loop in multiplier space, one Newton
-system per step and an Armijo search along the projection arc, warm-started
-from an equivalent d-dimensional strongly convex problem when there are
-more subjects than features, or from a caller's multipliers.
+The solver runs one projected Newton loop over lam: one Newton system per
+step on a diagonally scaled epsilon-active set, and an Armijo search along
+the projection arc; it is warm-started from an equivalent d-dimensional
+strongly convex problem when N > d, or from a caller's multipliers.
 The weight posterior under a standard normal prior is N(v(lam*), I).
 """
 
@@ -248,11 +248,11 @@ def solve_dual(
     interior point. A ``start`` multiplier vector (length N), clipped into
     the box, is the first iterate when N <= d; when N > d, where
     lambda-space Newton crawls on the Gram conditioning, it seeds the
-    presolve at v = A^T start. Each step solves one two-metric Newton
-    system and halves t up to MAX_HALVINGS times on the projection arc
-    clip(lam + t * direction) (Bertsekas, SIAM J. Control Optim. 20(2),
-    1982), then on the projected-gradient arc (direction = grad) if no point
-    passed. While the predicted gain grad . step exceeds J's float
+    presolve at v = A^T start. Each step solves one two-metric Newton system
+    on a diagonally scaled epsilon-active set, halves t up to MAX_HALVINGS
+    times on the projection arc clip(lam + t * direction) (Bertsekas, SIAM
+    J. Control Optim. 20(2), 1982), then on the projected-gradient arc if
+    no point passed. While the predicted gain grad . step exceeds J's float
     resolution, a point must pass the Armijo test on J; below it, rounding
     hides J's progress, so it must strictly shrink the projected-gradient
     norm, which short gradient steps do but a coupled Newton move need not.
@@ -283,18 +283,18 @@ def solve_dual(
     def newton_direction(lam, grad):
         """Two-metric Newton step; undamped, as the arc search bounds it.
 
-        Coordinates within the projected-gradient displacement of a bound
-        and pushing outward get a diagonal metric, so the Newton block on the
-        Hessian diag(1/(c - lam)^2) + A A^T of -J (Woodbury form when d < N)
-        couples only coordinates that stay interior; clipping a raw Newton
-        step otherwise wrecks the coupled move."""
+        Coordinates within the diagonally scaled step grad / (1/(c - lam)^2 +
+        |a_n|^2) of a bound, pushing outward, keep that diagonal metric; a
+        Newton block on the Hessian of -J (Woodbury form when d < N) couples
+        the rest. A raw gradient step, far longer than lam* on large rows,
+        put interior coordinates in the diagonal set and slowed them."""
         curvature = 1.0 / (problem.c - lam) ** 2
-        displacement = np.clip(lam + grad, 0.0, upper) - lam
+        direction = grad / (curvature + row_sq)
+        displacement = np.clip(lam + direction, 0.0, upper) - lam
         eps_active = max(edge, min(0.01 * problem.c, float(np.linalg.norm(displacement))))
         near_low = (lam <= eps_active) & (grad < 0.0)
         near_high = (lam >= upper - eps_active) & (grad > 0.0)
         free = ~(near_low | near_high)
-        direction = grad / (curvature + row_sq)
         if not np.any(free):
             return direction
         a_free = aggs[free]

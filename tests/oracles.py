@@ -159,3 +159,64 @@ def cross_validate_c_cold(train_panel, c_grid, folds, seed):
         if mean_score > best_score:
             best_c, best_score = c, mean_score
     return best_c
+
+
+def chi_design_per_term(panel):
+    """The chi objective's blocks, one per term: labeled terminal visits and
+    their labels, consecutive-visit differences, and each class's terminal
+    visits minus their center."""
+    d = panel.d
+    labeled = [s for s in panel.subjects if s.label is not None]
+    x_labeled = np.array([s.terminal for s in labeled], dtype=float).reshape(-1, d)
+    y_labeled = np.array([s.label for s in labeled], dtype=float)
+    blocks = [s.visit_diffs() for s in panel.subjects if s.n_visits > 1]
+    diffs = np.vstack(blocks) if blocks else np.empty((0, d))
+    centered = []
+    for label in (1.0, -1.0):
+        members = x_labeled[y_labeled == label]
+        if len(members):
+            centered.append(members - members.mean(axis=0))
+    return x_labeled, y_labeled, diffs, centered
+
+
+def chi_evaluate_per_term(design, w, b, hyper):
+    """Chi objective value and the subgradient (g_w, g_b) of every term except
+    the L1 penalty, each term evaluated on its own block."""
+    x_labeled, y_labeled, diffs, centered = design
+    g_w = w.copy()
+    g_b = 0.0
+    value = 0.5 * float(w @ w)
+    if len(y_labeled):
+        margins = y_labeled * (x_labeled @ w + b)
+        value += hyper.beta * float(np.maximum(0.0, 1.0 - margins).sum())
+        active = margins < 1.0
+        g_w -= hyper.beta * (y_labeled[active] @ x_labeled[active])
+        g_b -= hyper.beta * float(y_labeled[active].sum())
+    if len(diffs):
+        rises = diffs @ w
+        value += hyper.alpha * float(np.maximum(0.0, 1.0 - rises).sum())
+        g_w -= hyper.alpha * diffs[rises < 1.0].sum(axis=0)
+    for block in centered:
+        proj = block @ w
+        value += 0.5 * hyper.lambda_var * float(proj @ proj) / len(block)
+        g_w += hyper.lambda_var * (block.T @ proj) / len(block)
+    value += hyper.gamma_l1 * float(np.abs(w).sum())
+    return value, g_w, g_b
+
+
+def chi_train_per_term(panel, hyper, steps=400, step_size=0.01):
+    """Proximal subgradient descent on (w, b) with step step_size / sqrt(k),
+    driven by ``chi_evaluate_per_term``; returns the best iterate (w, b)."""
+    design = chi_design_per_term(panel)
+    w, b = np.zeros(panel.d), 0.0
+    best_value, g_w, g_b = chi_evaluate_per_term(design, w, b, hyper)
+    best_w, best_b = w, b
+    for k in range(1, steps + 1):
+        step = step_size / np.sqrt(k)
+        shifted = w - step * g_w
+        w = np.sign(shifted) * np.maximum(np.abs(shifted) - step * hyper.gamma_l1, 0.0)
+        b = b - step * g_b
+        value, g_w, g_b = chi_evaluate_per_term(design, w, b, hyper)
+        if value < best_value:
+            best_value, best_w, best_b = value, w, b
+    return best_w, best_b

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from oracles import central_diff_gradient
+from oracles import (
+    central_diff_gradient,
+    chi_design_per_term,
+    chi_evaluate_per_term,
+    chi_train_per_term,
+)
 
 from healthindex.chi_baseline import (
     ChiHyperparams,
     ChiModel,
+    _build_design,
+    _evaluate,
     chi_objective,
     chi_predict,
     chi_train,
@@ -13,7 +20,8 @@ from healthindex.chi_baseline import (
     model_payload,
 )
 from healthindex.errors import DimensionMismatch, NonFiniteObjective
-from healthindex.panel import LongitudinalPanel, SubjectSeries
+from healthindex.panel import LongitudinalPanel, SubjectSeries, standardize
+from healthindex.simulator import SimConfig, simulate
 
 
 def series(rows, sid="s", label=None):
@@ -41,6 +49,20 @@ def random_labeled_panel(rng, n_subjects=6, d=3):
         obs = rng.normal(size=(n_visits, d)) + drift
         subjects.append(series(obs, f"s{i}", label=label))
     return LongitudinalPanel(tuple(subjects))
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("field", ["alpha", "beta", "lambda_var", "gamma_l1"])
+    @pytest.mark.parametrize(
+        "value", ["0.1", None, True, np.bool_(True), float("nan"), float("inf"), -np.inf, -0.5]
+    )
+    def test_bad_weight_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ChiHyperparams(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, 2, 0.0, np.float64(1.5), np.int64(3)])
+    def test_real_weights_accepted(self, value):
+        assert ChiHyperparams(alpha=value).alpha == value
 
 
 class TestObjective:
@@ -121,10 +143,8 @@ class TestObjective:
                 return chi_objective(ChiModel(p[:-1], p[-1]), panel, hyper)
 
             numeric = central_diff_gradient(full, point, h=1e-7)
-            from healthindex.chi_baseline import _build_design, _evaluate
-
-            _, g_w, g_b = _evaluate(_build_design(panel), w, b, hyper)
-            analytic = np.concatenate([g_w + hyper.gamma_l1 * np.sign(w), [g_b]])
+            _, grad = _evaluate(_build_design(panel, hyper), point)
+            analytic = grad + np.append(hyper.gamma_l1 * np.sign(w), 0.0)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-5)
             checked += 1
 
@@ -138,6 +158,61 @@ def _near_kink(panel, w, b, margin=1e-4):
             if np.any(np.abs(1.0 - s.visit_diffs() @ w) < margin):
                 return True
     return False
+
+
+def _single_class_panel():
+    rng = np.random.default_rng(21)
+    return LongitudinalPanel(
+        tuple(series(rng.normal(size=(i % 3 + 1, 3)), f"p{i}", label=1) for i in range(5))
+    )
+
+
+def _single_visit_panel():
+    rng = np.random.default_rng(22)
+    return LongitudinalPanel(
+        tuple(series(rng.normal(size=(1, 3)), f"s{i}", label=1 - 2 * (i % 2)) for i in range(6))
+    )
+
+
+def _partly_unlabeled_panel():
+    rng = np.random.default_rng(23)
+    base = random_labeled_panel(rng, n_subjects=7, d=4)
+    extra = tuple(series(rng.normal(size=(3, 4)), f"u{i}") for i in range(4))
+    return LongitudinalPanel(base.subjects + extra)
+
+
+ORACLE_PANELS = {
+    "random": lambda: random_labeled_panel(np.random.default_rng(24), n_subjects=9, d=5),
+    "single-class": _single_class_panel,
+    "no-multi-visit": _single_visit_panel,
+    "partly-unlabeled": _partly_unlabeled_panel,
+}
+
+
+class TestPerTermOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_PANELS))
+    def test_value_and_subgradient_match(self, name):
+        """The stacked-matrix evaluation in theta = (w, b) agrees with the
+        per-term one at random points and term weights."""
+        panel = ORACLE_PANELS[name]()
+        reference_design = chi_design_per_term(panel)
+        rng = np.random.default_rng(25)
+        for _ in range(25):
+            hyper = ChiHyperparams(*rng.uniform(0.0, 3.0, size=4))
+            w = rng.normal(size=panel.d)
+            b = float(rng.normal())
+            value, grad = _evaluate(_build_design(panel, hyper), np.append(w, b))
+            ref_value, ref_g_w, ref_g_b = chi_evaluate_per_term(reference_design, w, b, hyper)
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            np.testing.assert_allclose(grad, np.append(ref_g_w, ref_g_b), rtol=1e-12)
+
+    def test_training_matches_per_term_trainer(self):
+        panel = standardize(simulate(SimConfig(seed=0))[0])
+        hyper = ChiHyperparams()
+        model = chi_train(panel, hyper)
+        ref_w, ref_b = chi_train_per_term(panel, hyper)
+        np.testing.assert_allclose(model.w, ref_w, rtol=0.0, atol=1e-12)
+        assert model.b == pytest.approx(ref_b, rel=0.0, abs=1e-12)
 
 
 class TestTraining:

@@ -274,6 +274,12 @@ class TestSweep:
             ({"fixed_c": True}, "fixed_c must be a real number, got True"),
             ({"chi_step_size": "0.1"}, "chi_step_size must be a real number, got '0.1'"),
             ({"c_policy": "fixed", "fixed_c": None}, "fixed_c must be a real number, got None"),
+            ({"chi_hyper": {"alpha": "0.1"}}, "alpha must be a real number, got '0.1'"),
+            ({"chi_hyper": {"beta": False}}, "beta must be a real number, got False"),
+            ({"chi_hyper": {"lambda_var": None}}, "lambda_var must be a real number, got None"),
+            ({"chi_hyper": {"alpha": float("nan")}}, "alpha must be finite and non-negative, got nan"),
+            ({"chi_hyper": {"beta": float("-inf")}}, "beta must be finite and non-negative, got -inf"),
+            ({"chi_hyper": {"gamma_l1": float("inf")}}, "gamma_l1 must be finite and non-negative, got inf"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, payload, named):

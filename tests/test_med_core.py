@@ -263,6 +263,18 @@ class TestSolveDual:
         problem = DualProblem(agg, c=100.0)
         assert_kkt_certificate(problem, solve_dual(problem), DEFAULT_TOL)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_square_problem_with_large_rows_certifies_quickly(self, seed):
+        """N ~ d, entries of scale 264, c = 1.2. An eps-active test on the raw
+        gradient step, far longer than lam* <= 0.0075, kept interior
+        multipliers pushing toward 0 on the diagonal metric, and the solve
+        crawled linearly for 112 to 365 steps."""
+        agg = np.random.default_rng(seed).normal(size=(37, 38)) * 264
+        problem = DualProblem(agg, c=1.2)
+        solution = solve_dual(problem)
+        assert_kkt_certificate(problem, solution, DEFAULT_TOL)
+        assert solution.iterations <= 40
+
     def test_hopeless_scale_gives_up_quickly(self):
         # at |a| ~ 1e6 with N > d the 1e-8 certificate is out of reach; the
         # solver must say so after a bounded number of steps
