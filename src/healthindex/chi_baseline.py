@@ -78,7 +78,7 @@ class ChiModel:
 
 @dataclass(frozen=True)
 class _Design:
-    """The objective in theta = (w, b), built once from a panel.
+    """The objective in theta = (w, b), built once per panel and term weights.
 
     Every hinge term is weight * max(0, 1 - row . theta) for one row of
     ``rows``: y * [x, 1] for each labeled terminal visit x (weight beta) and
