@@ -13,14 +13,12 @@ quadratic form, so a step is two products with that matrix, one with the
 
 from __future__ import annotations
 
-import math
-import numbers
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Annotated, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteObjective, reject_unknown_keys
+from .errors import GE_ZERO, GT_ZERO, Config, DimensionMismatch, NonFiniteObjective, Range
 # both model kinds share one file format, writer and loader; save_model stays
 # importable from here because perfbench's tracer wraps chi_baseline.save_model
 from .med_core import FORMAT_VERSION, save_model  # noqa: F401
@@ -28,7 +26,7 @@ from .panel import NEGATIVE, POSITIVE, LongitudinalPanel
 
 
 @dataclass(frozen=True)
-class ChiHyperparams:
+class ChiHyperparams(Config):
     """Finite non-negative term weights.
 
     Defaults come from a 10-fold cross-validated sweep of the grid
@@ -36,26 +34,10 @@ class ChiHyperparams:
     candidate with the best held-out accuracy.
     """
 
-    alpha: float = 0.1
-    beta: float = 10.0
-    lambda_var: float = 0.1
-    gamma_l1: float = 0.1
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "lambda_var", "gamma_l1"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload) -> "ChiHyperparams":
-        reject_unknown_keys(cls, payload)
-        return cls(**payload)
+    alpha: Annotated[float, GE_ZERO] = 0.1
+    beta: Annotated[float, GE_ZERO] = 10.0
+    lambda_var: Annotated[float, GE_ZERO] = 0.1
+    gamma_l1: Annotated[float, GE_ZERO] = 0.1
 
 
 @dataclass(frozen=True)
@@ -166,10 +148,8 @@ def chi_train(
     zero model it starts from. Raises on a non-finite objective.
     """
     hyper = hyper or ChiHyperparams()
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
+    Range(1).check("steps", steps)
+    GT_ZERO.check("step_size", step_size)
     if not panel.observed_labels():
         raise ValueError("training needs at least one labeled subject")
     design = _build_design(panel, hyper)

@@ -30,41 +30,37 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return tuple(float(tok) for tok in _names(text))
+
+
+def _fields_given(cls, args) -> dict:
+    """The fields of the dataclass ``cls`` that ``args`` names and sets."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    return {f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given}
 
 
 def _add_simulate_parser(subparsers):
     p = subparsers.add_parser("simulate", help="generate a synthetic panel CSV")
     p.add_argument("--out", required=True, help="panel CSV path")
     p.add_argument("--echo", help="config echo JSON path (sigmas, truth, direction)")
-    p.add_argument("--d", type=int, default=SimConfig.d)
-    p.add_argument("--n-per-class", type=int, default=SimConfig.n_per_class)
-    p.add_argument("--normal-proportion", type=float, default=None)
-    p.add_argument("--visits-min", type=int, default=SimConfig.visits_min)
-    p.add_argument("--visits-max", type=int, default=SimConfig.visits_max)
-    p.add_argument("--degradation-rate", type=float, default=SimConfig.degradation_rate)
-    p.add_argument("--informative-k", type=int, default=SimConfig.informative_k)
-    p.add_argument(
-        "--label-observed-fraction",
-        type=float,
-        default=SimConfig.label_observed_fraction,
-    )
-    p.add_argument("--seed", type=int, default=SimConfig.seed)
+    p.add_argument("--d", type=int)
+    p.add_argument("--n-per-class", type=int)
+    p.add_argument("--normal-proportion", type=float)
+    p.add_argument("--visits-min", type=int)
+    p.add_argument("--visits-max", type=int)
+    p.add_argument("--degradation-rate", type=float)
+    p.add_argument("--informative-k", type=int)
+    p.add_argument("--label-observed-fraction", type=float)
+    p.add_argument("--seed", type=int)
 
 
 def _cmd_simulate(args) -> int:
-    config = SimConfig(
-        d=args.d,
-        n_per_class=args.n_per_class,
-        normal_proportion=args.normal_proportion,
-        visits_min=args.visits_min,
-        visits_max=args.visits_max,
-        degradation_rate=args.degradation_rate,
-        informative_k=args.informative_k,
-        label_observed_fraction=args.label_observed_fraction,
-        seed=args.seed,
-    )
+    config = SimConfig(**_fields_given(SimConfig, args))
     panel, _ = simulate_to_files(config, args.out, args.echo)
     print(f"wrote {args.out} ({panel.n_subjects} subjects, d={panel.d})")
     return EXIT_OK
@@ -80,10 +76,10 @@ def _add_train_parser(subparsers):
     p.add_argument("--c", type=float, default=1.5, help="margin prior rate (uqchi)")
     p.add_argument("--tol", type=float, default=med_core.DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=med_core.DEFAULT_MAX_ITER)
-    p.add_argument("--alpha", type=float, default=ChiHyperparams.alpha)
-    p.add_argument("--beta", type=float, default=ChiHyperparams.beta)
-    p.add_argument("--lambda-var", type=float, default=ChiHyperparams.lambda_var)
-    p.add_argument("--gamma-l1", type=float, default=ChiHyperparams.gamma_l1)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--lambda-var", type=float)
+    p.add_argument("--gamma-l1", type=float)
     p.add_argument("--steps", type=int, default=400)
     p.add_argument("--step-size", type=float, default=0.01)
 
@@ -109,7 +105,7 @@ def _cmd_train(args) -> int:
             f"iterations={solution.iterations}, objective={solution.objective:.6g}"
         )
     else:
-        hyper = ChiHyperparams(args.alpha, args.beta, args.lambda_var, args.gamma_l1)
+        hyper = ChiHyperparams(**_fields_given(ChiHyperparams, args))
         model = chi_baseline.chi_train(
             train_panel, hyper, steps=args.steps, step_size=args.step_size
         )
@@ -222,7 +218,9 @@ def _add_sweep_parser(subparsers):
     p.add_argument("--rejection-rates", type=_floats, default=None)
     p.add_argument("--n-seeds", type=int, default=None)
     p.add_argument("--cv-folds", type=int, default=None)
-    p.add_argument("--baselines", default=None, help="comma list drawn from uqchi,chi")
+    p.add_argument(
+        "--baselines", type=_names, default=None, help="comma list drawn from uqchi,chi"
+    )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--degradation-rate", type=float, default=None)
 
@@ -233,25 +231,7 @@ def _cmd_sweep(args) -> int:
         if args.config
         else harness.ExperimentSpec()
     )
-    overrides = {}
-    for field_name, attr in (
-        ("c_grid", "c_grid"),
-        ("c_policy", "c_policy"),
-        ("fixed_c", "fixed_c"),
-        ("label_ratios", "label_ratios"),
-        ("train_ratios", "train_ratios"),
-        ("rejection_rates", "rejection_rates"),
-        ("n_seeds", "n_seeds"),
-        ("cv_folds", "cv_folds"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[field_name] = value
-    if args.baselines is not None:
-        overrides["baselines"] = tuple(
-            tok.strip() for tok in args.baselines.split(",") if tok.strip()
-        )
+    overrides = _fields_given(harness.ExperimentSpec, args)
     if args.panel is not None:
         overrides["panel_csv"] = args.panel
         overrides["sim"] = None

@@ -10,18 +10,17 @@ into one deterministic log, and the result table is computed from it.
 from __future__ import annotations
 
 import json
-import numbers
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Annotated, Mapping, Sequence
 
 import numpy as np
 
 from . import med_core, predictor
 from .chi_baseline import ChiHyperparams, chi_predict_panel, chi_train
-from .errors import reject_unknown_keys
+from .errors import GE_ZERO, GT_ZERO, Config, Range
 from .med_core import DualProblem, DualSolution, WeightPosterior, solve_dual
 from .panel import (
     LongitudinalPanel,
@@ -59,10 +58,6 @@ class EvalResult:
     true_negative: int
     false_positive: int
     false_negative: int
-
-    @property
-    def n_scored(self) -> int:
-        return self.n_accepted + self.n_abstained
 
 
 def evaluate(predictions: Mapping[str, int], truth: Mapping[str, int]) -> EvalResult:
@@ -155,8 +150,7 @@ def cross_validate_c(
     the posterior-mean index at each held-out terminal visit, ties to +1 as
     in ``predictor.predict``.
     """
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    Range(2).check("folds", folds)
     grid = sorted(set(float(c) for c in c_grid))
     if not grid:
         raise ValueError("empty c grid")
@@ -203,10 +197,7 @@ C_POLICY_FIXED = "fixed"
 C_POLICY_SWEEP = "sweep"
 
 
-# ExperimentSpec fields that must hold a plain int (a bool is refused)
-_INT_FIELDS = ("n_seeds", "cv_folds", "chi_steps", "solver_max_iter", "seed")
-# ExperimentSpec fields that must hold a real number (a bool is refused)
-_REAL_FIELDS = ("solver_tol", "fixed_c", "chi_step_size")
+_OPEN_UNIT = Range(0, 1, open_low=True, open_high=True)
 
 
 def default_sim_config() -> SimConfig:
@@ -215,75 +206,47 @@ def default_sim_config() -> SimConfig:
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Config):
     """Grid definition plus data source (simulation config or a panel CSV)."""
 
     sim: SimConfig | None = field(default_factory=default_sim_config)
     panel_csv: str | None = None
-    c_grid: tuple[float, ...] = (1.5, 3.0, 5.0, 10.0, 20.0, 100.0)
+    c_grid: Annotated[tuple[float, ...], GT_ZERO] = (1.5, 3.0, 5.0, 10.0, 20.0, 100.0)
     c_policy: str = C_POLICY_CV
-    fixed_c: float = 1.5
-    label_ratios: tuple[float, ...] = (0.1, 0.2, 0.5)
-    train_ratios: tuple[float, ...] = (0.3, 0.5, 0.7)
-    rejection_rates: tuple[float, ...] = (0.2, 0.4, 0.6)
-    n_seeds: int = 20
-    cv_folds: int = 10
+    fixed_c: Annotated[float, GT_ZERO] = 1.5
+    label_ratios: Annotated[tuple[float, ...], _OPEN_UNIT] = (0.1, 0.2, 0.5)
+    train_ratios: Annotated[tuple[float, ...], _OPEN_UNIT] = (0.3, 0.5, 0.7)
+    rejection_rates: Annotated[tuple[float, ...], Range(0, 1, open_high=True)] = (0.2, 0.4, 0.6)
+    n_seeds: Annotated[int, Range(1)] = 20
+    cv_folds: Annotated[int, Range(2)] = 10
     baselines: tuple[str, ...] = (METHOD_UQCHI, METHOD_CHI)
     chi_hyper: ChiHyperparams = field(default_factory=ChiHyperparams)
-    chi_steps: int = 400
-    chi_step_size: float = 0.01
-    solver_tol: float = med_core.DEFAULT_TOL
-    solver_max_iter: int = med_core.DEFAULT_MAX_ITER
-    seed: int = 0
+    chi_steps: Annotated[int, Range(1)] = 400
+    chi_step_size: Annotated[float, GT_ZERO] = 0.01
+    solver_tol: Annotated[float, GT_ZERO] = med_core.DEFAULT_TOL
+    solver_max_iter: Annotated[int, Range(1)] = med_core.DEFAULT_MAX_ITER
+    seed: Annotated[int, GE_ZERO] = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "c_grid", tuple(float(c) for c in self.c_grid))
-        object.__setattr__(self, "label_ratios", tuple(float(r) for r in self.label_ratios))
-        object.__setattr__(self, "train_ratios", tuple(float(r) for r in self.train_ratios))
-        object.__setattr__(
-            self, "rejection_rates", tuple(float(r) for r in self.rejection_rates)
-        )
-        object.__setattr__(self, "baselines", tuple(self.baselines))
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not isinstance(self.chi_hyper, ChiHyperparams):
-            raise ValueError(f"chi_hyper must be a ChiHyperparams object, got {self.chi_hyper!r}")
-        if self.panel_csv is None and self.sim is None:
-            raise ValueError("need a data source: sim config or panel CSV")
-        if not self.c_grid or not self.label_ratios or not self.train_ratios:
-            raise ValueError("grids must be non-empty")
-        if any(not 0.0 < r < 1.0 for r in self.label_ratios + self.train_ratios):
-            raise ValueError("label and train ratios must lie in (0, 1)")
-        if any(not 0.0 <= r < 1.0 for r in self.rejection_rates):
-            raise ValueError("rejection rates must lie in [0, 1)")
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
+        super().__post_init__()
+        if (self.sim is None) == (self.panel_csv is None):
+            raise ValueError("need exactly one data source: sim config or panel CSV")
+        if self.sim is not None:
+            if self.sim.seed != SimConfig.seed:
+                raise ValueError(
+                    "sim.seed is not a sweep knob: seed index i simulates with "
+                    "seed + i, so set seed instead"
+                )
+            fraction = self.sim.label_observed_fraction
+            if not any(int(fraction * n) for n in self.sim.class_sizes()):
+                raise ValueError(
+                    "sim.label_observed_fraction hides every simulated label, "
+                    "and a chi cell needs one"
+                )
         if self.c_policy not in (C_POLICY_CV, C_POLICY_FIXED, C_POLICY_SWEEP):
             raise ValueError(f"unknown c policy {self.c_policy!r}")
-        unknown = set(self.baselines) - {METHOD_UQCHI, METHOD_CHI}
-        if unknown or not self.baselines:
+        if set(self.baselines) - {METHOD_UQCHI, METHOD_CHI}:
             raise ValueError(f"baselines must be drawn from uqchi/chi, got {self.baselines}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ExperimentSpec":
-        reject_unknown_keys(cls, payload)
-        payload = dict(payload)
-        if payload.get("sim") is not None:
-            payload["sim"] = SimConfig.from_dict(payload["sim"])
-        if payload.get("chi_hyper") is not None:
-            payload["chi_hyper"] = ChiHyperparams.from_dict(payload["chi_hyper"])
-        return cls(**payload)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -321,29 +284,10 @@ class ResultTable:
         def cell(value):
             if value is None:
                 return ""
-            if isinstance(value, float):
-                return repr(value)
-            return str(value)
+            return repr(value) if isinstance(value, float) else str(value)
 
-        lines = [self.HEADER]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.method,
-                        repr(r.label_ratio),
-                        repr(r.train_ratio),
-                        repr(r.rejection_rate),
-                        r.c_key,
-                        cell(r.mean_accuracy),
-                        cell(r.std_accuracy),
-                        str(r.n_seeds),
-                        cell(r.mean_abstained),
-                        str(r.n_failed),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        rows = (",".join(cell(getattr(r, f.name)) for f in fields(r)) for r in self.rows)
+        return "\n".join([self.HEADER, *rows]) + "\n"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateProblem, DimensionMismatch, DomainError, NonConvergence
+from .errors import (
+    GE_ZERO,
+    GT_ZERO,
+    DegenerateProblem,
+    DimensionMismatch,
+    DomainError,
+    NonConvergence,
+)
 
 FORMAT_VERSION = 1
 
@@ -43,7 +50,7 @@ DECREMENT_ULPS = 64
 
 @dataclass(frozen=True)
 class DualProblem:
-    """Aggregate matrix (N, d) plus the margin-prior rate c > 0.
+    """Aggregate matrix (N, d) plus the finite margin-prior rate c > 0.
 
     c <= 1 is legal but puts the barrier-only maximizer at lam = 0; a warning
     flags it because such problems carry no data force at all when the
@@ -63,8 +70,7 @@ class DualProblem:
         arr.setflags(write=False)
         object.__setattr__(self, "aggregates", arr)
         object.__setattr__(self, "c", float(self.c))
-        if self.c <= 0:
-            raise ValueError("margin prior rate c must be positive")
+        GT_ZERO.check("margin prior rate c", self.c)
         if self.c <= 1:
             warnings.warn(
                 f"c={self.c} <= 1: barrier term is maximized at lambda = 0",
@@ -107,6 +113,8 @@ class WeightPosterior:
 
     def __post_init__(self):
         arr = np.array(self.mean, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("posterior mean weights must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "mean", arr)
 
@@ -260,8 +268,8 @@ def solve_dual(
     componentwise; otherwise raises ``NonConvergence`` carrying the last
     iterate. ``iterations`` counts accepted steps. Deterministic.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    GT_ZERO.check("tol", tol)
+    GE_ZERO.check("max_iter", max_iter)
     if not np.any(problem.aggregates) and problem.c <= 1.0:
         raise DegenerateProblem(
             "all aggregates are zero and c <= 1: maximizer is the boundary point "

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateTimeIndex,
     PanelFormatError,
+    Range,
 )
 
 POSITIVE = 1
@@ -50,6 +51,8 @@ class Standardization:
         object.__setattr__(self, "scale", _frozen_array(self.scale))
         if self.mean.shape != self.scale.shape or self.mean.ndim != 1:
             raise DimensionMismatch("mean and scale must be 1-d and equally long")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.scale))):
+            raise ValueError("standardization mean and scale must be finite")
         if np.any(self.scale <= 0):
             raise ValueError("scale entries must be positive")
 
@@ -501,8 +504,8 @@ def split_and_mask(
     hidden; the test split keeps its labels for scoring only. Deterministic in
     the seed.
     """
-    if not 0.0 <= train_fraction <= 1.0 or not 0.0 <= unlabeled_fraction <= 1.0:
-        raise ValueError("fractions must lie in [0, 1]")
+    Range(0.0, 1.0).check("train_fraction", train_fraction)
+    Range(0.0, 1.0).check("unlabeled_fraction", unlabeled_fraction)
     rng = np.random.default_rng(seed)
     order = rng.permutation(panel.n_subjects)
     n_train = _round_half_up(train_fraction * panel.n_subjects)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroFeatureVector
+from .errors import DimensionMismatch, Range, ZeroFeatureVector
 from .med_core import WeightPosterior
 from .panel import LongitudinalPanel, SubjectSeries
 
@@ -145,8 +145,7 @@ def reject_by_threshold(
     records: Sequence[PredictionRecord], threshold: float
 ) -> list[PredictionRecord]:
     """Abstain exactly on records with confidence below the threshold."""
-    if not 0.5 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0.5, 1], got {threshold}")
+    Range(0.5, 1.0).check("threshold", threshold)
     return [replace(r, abstained=r.confidence < threshold) for r in records]
 
 
@@ -158,8 +157,7 @@ def reject_by_rate(
     Ties break by input position (stable sort), so growing the rate always
     grows the abstention set.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"rate must lie in [0, 1), got {rate}")
+    Range(0.0, 1.0, open_high=True).check("rate", rate)
     if not records:
         raise ValueError("need at least one record")
     n_reject = int(math.floor(rate * len(records)))

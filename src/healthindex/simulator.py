@@ -10,12 +10,13 @@ hidden otherwise; the full truth is returned separately for scoring.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
-from .errors import reject_unknown_keys
+from .errors import GE_ZERO, Config, Range
 from .panel import (
     NEGATIVE,
     POSITIVE,
@@ -28,7 +29,7 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Config):
     """Generation knobs.
 
     ``normal_proportion=None`` keeps both classes at ``n_per_class``; setting
@@ -39,39 +40,25 @@ class SimConfig:
     mean signal.
     """
 
-    d: int = 90
-    n_per_class: int = 50
-    normal_proportion: float | None = None
-    visits_min: int = 3
-    visits_max: int = 7
-    degradation_rate: float = 0.2
-    noise_sigmas: tuple[float, ...] | None = None
-    informative_k: int = 20
-    label_observed_fraction: float = 0.2
-    seed: int = 0
+    d: Annotated[int, Range(1)] = 90
+    n_per_class: Annotated[int, Range(1)] = 50
+    normal_proportion: Annotated[float, Range(0, 1, open_low=True, open_high=True)] | None = None
+    visits_min: Annotated[int, Range(1)] = 3
+    visits_max: Annotated[int, Range(1)] = 7
+    degradation_rate: Annotated[float, GE_ZERO] = 0.2
+    noise_sigmas: Annotated[tuple[float, ...], GE_ZERO] | None = None
+    informative_k: Annotated[int, GE_ZERO] = 20
+    label_observed_fraction: Annotated[float, Range(0, 1)] = 0.2
+    seed: Annotated[int, GE_ZERO] = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.n_per_class < 1:
-            raise ValueError("n_per_class must be >= 1")
-        if self.normal_proportion is not None and not 0.0 < self.normal_proportion < 1.0:
-            raise ValueError("normal_proportion must lie in (0, 1)")
-        if self.visits_min < 1 or self.visits_max < self.visits_min:
-            raise ValueError("need 1 <= visits_min <= visits_max")
-        if self.degradation_rate < 0:
-            raise ValueError("degradation_rate must be >= 0")
-        if not 0 <= self.informative_k <= self.d:
-            raise ValueError("informative_k must lie in [0, d]")
-        if not 0.0 <= self.label_observed_fraction <= 1.0:
-            raise ValueError("label_observed_fraction must lie in [0, 1]")
-        if self.noise_sigmas is not None:
-            sigmas = tuple(float(s) for s in self.noise_sigmas)
-            if len(sigmas) != self.d:
-                raise ValueError("noise_sigmas must have length d")
-            if any(s < 0 for s in sigmas):
-                raise ValueError("noise_sigmas must be non-negative")
-            object.__setattr__(self, "noise_sigmas", sigmas)
+        super().__post_init__()
+        if self.visits_max < self.visits_min:
+            raise ValueError("need visits_min <= visits_max")
+        if self.informative_k > self.d:
+            raise ValueError("informative_k must be <= d")
+        if self.noise_sigmas is not None and len(self.noise_sigmas) != self.d:
+            raise ValueError("noise_sigmas must have length d")
 
     def class_sizes(self) -> tuple[int, int]:
         """(n_normal, n_diseased) after resolving the proportion rule."""
@@ -86,14 +73,6 @@ class SimConfig:
 
     def informative_indices(self) -> tuple[int, ...]:
         return tuple(range(self.informative_k))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SimConfig":
-        reject_unknown_keys(cls, payload)
-        return cls(**payload)
 
 
 def _generate(config: SimConfig):

@@ -148,6 +148,48 @@ class TestTrainPredictEvaluate:
         assert "must hold a JSON object, got list" in capsys.readouterr().err
         assert not preds.exists()
 
+    @pytest.mark.parametrize(
+        "method,entry,named",
+        [
+            ("uqchi", ("mean_weights", 2), "posterior mean weights must be finite"),
+            ("uqchi", ("standardization", "scale", 0), "standardization mean and scale must be finite"),
+            ("chi", ("standardization", "mean", 5), "standardization mean and scale must be finite"),
+        ],
+    )
+    def test_non_finite_model_entry_exits_2(self, tmp_path, capsys, method, entry, named):
+        panel = simulate_panel(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--panel", panel, "--out", model, "--method", method,
+                    "--steps", 20]) == 0
+        payload = json.loads(model.read_text())
+        node = payload
+        for key in entry[:-1]:
+            node = node[key]
+        node[entry[-1]] = float("nan")
+        model.write_text(json.dumps(payload))
+        preds = tmp_path / "preds.csv"
+        assert run(["predict", "--model", model, "--panel", panel, "--out", preds]) == 2
+        assert named in capsys.readouterr().err
+        assert not preds.exists()
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--c", "nan"], "margin prior rate c must be finite and positive, got nan"),
+            (["--c", "inf"], "margin prior rate c must be finite and positive, got inf"),
+            (["--tol", "nan"], "tol must be finite and positive, got nan"),
+            (["--max-iter", -5], "max_iter must be non-negative, got -5"),
+            (["--method", "chi", "--step-size", "nan"], "step_size must be finite and positive, got nan"),
+            (["--method", "chi", "--step-size", "inf"], "step_size must be finite and positive, got inf"),
+        ],
+    )
+    def test_bad_numeric_train_flag_exits_2(self, tmp_path, capsys, flags, named):
+        panel = simulate_panel(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--panel", panel, "--out", model] + flags) == 2
+        assert named in capsys.readouterr().err
+        assert not model.exists()
+
     @pytest.mark.parametrize("method", ["uqchi", "chi"])
     @pytest.mark.parametrize("standardize", [True, False])
     def test_model_dimension_mismatch_exits_2(self, tmp_path, capsys, method, standardize):
@@ -280,6 +322,33 @@ class TestSweep:
             ({"chi_hyper": {"alpha": float("nan")}}, "alpha must be finite and non-negative, got nan"),
             ({"chi_hyper": {"beta": float("-inf")}}, "beta must be finite and non-negative, got -inf"),
             ({"chi_hyper": {"gamma_l1": float("inf")}}, "gamma_l1 must be finite and non-negative, got inf"),
+            ({"sim": {"d": "5"}}, "d must be an integer, got '5'"),
+            ({"c_grid": 5}, "c_grid must be a non-empty list of real numbers, got 5"),
+            ({"label_ratios": None}, "label_ratios must be a non-empty list of real numbers, got None"),
+            ({"c_grid": [[1.5]]}, "c_grid must be a non-empty list of real numbers, got [[1.5]]"),
+            ({"c_grid": [-1.0]}, "c_grid entries must be finite and positive, got -1.0"),
+            ({"c_grid": [float("nan")]}, "c_grid entries must be finite and positive, got nan"),
+            ({"fixed_c": -2.0}, "fixed_c must be finite and positive, got -2.0"),
+            ({"fixed_c": 0.0}, "fixed_c must be finite and positive, got 0.0"),
+            ({"fixed_c": float("nan")}, "fixed_c must be finite and positive, got nan"),
+            ({"solver_tol": -1.0}, "solver_tol must be finite and positive, got -1.0"),
+            ({"solver_tol": float("nan")}, "solver_tol must be finite and positive, got nan"),
+            ({"solver_max_iter": 0}, "solver_max_iter must be >= 1, got 0"),
+            ({"solver_max_iter": -3}, "solver_max_iter must be >= 1, got -3"),
+            ({"chi_steps": 0}, "chi_steps must be >= 1, got 0"),
+            ({"chi_step_size": 0.0}, "chi_step_size must be finite and positive, got 0.0"),
+            ({"chi_step_size": float("inf")}, "chi_step_size must be finite and positive, got inf"),
+            ({"chi_step_size": float("nan")}, "chi_step_size must be finite and positive, got nan"),
+            ({"rejection_rates": []}, "rejection_rates must be a non-empty list of real numbers, got []"),
+            ({"panel_csv": 5}, "panel_csv must be a string, got 5"),
+            ({"baselines": "uqchi"}, "baselines must be a non-empty list of strings, got 'uqchi'"),
+            ({"sim": {"visits_min": True}}, "visits_min must be an integer, got True"),
+            ({"sim": {"n_per_class": True}}, "n_per_class must be an integer, got True"),
+            ({"sim": {"degradation_rate": float("nan")}}, "degradation_rate must be finite and non-negative, got nan"),
+            ({"sim": {"d": 2, "informative_k": 1, "noise_sigmas": [1.0, float("nan")]}},
+             "noise_sigmas entries must be finite and non-negative, got nan"),
+            ({"sim": {"seed": -1}}, "seed must be non-negative, got -1"),
+            ({"sim": {"seed": 3}}, "sim.seed is not a sweep knob"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, payload, named):

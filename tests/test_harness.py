@@ -275,7 +275,6 @@ class TestRunPipeline:
                 degradation_rate=0.5,
                 informative_k=2,
                 label_observed_fraction=1.0,
-                seed=2,
             ),
             label_ratios=(0.95,),
             train_ratios=(0.5,),

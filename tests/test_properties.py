@@ -1,15 +1,20 @@
-"""Property-based tests: panel CSV round trips and nested rate rejection."""
+"""Property-based tests: panel CSV round trips, nested rate rejection and
+config values at the edges."""
 
+import copy
 import csv
 import io
 import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from healthindex.chi_baseline import ChiHyperparams
+from healthindex.harness import ExperimentSpec, run_pipeline
 from healthindex.panel import (
     LongitudinalPanel,
     SubjectSeries,
@@ -18,6 +23,7 @@ from healthindex.panel import (
     write_panel,
 )
 from healthindex.predictor import PredictionRecord, reject_by_rate
+from healthindex.simulator import SimConfig
 
 # deterministic example streams, no per-example deadline on slow machines
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -97,3 +103,53 @@ def test_reject_by_rate_sets_nest_as_the_rate_grows(confidences, rates):
         assert len(current) == math.floor(rate * len(records))
         assert previous <= current
         previous = current
+
+
+# a sweep small enough to run once per accepted edge value
+TINY_SPEC = {
+    "sim": {"d": 3, "n_per_class": 6, "informative_k": 1, "degradation_rate": 0.8,
+            "label_observed_fraction": 1.0},
+    "c_grid": [1.5, 3.0],
+    "label_ratios": [0.5],
+    "train_ratios": [0.6],
+    "rejection_rates": [0.0, 0.5],
+    "n_seeds": 1,
+    "cv_folds": 2,
+    "chi_steps": 5,
+}
+# every field of the three config dataclasses, as a path into the spec payload
+FIELD_PATHS = (
+    [(f.name,) for f in fields(ExperimentSpec)]
+    + [("sim", f.name) for f in fields(SimConfig)]
+    + [("chi_hyper", f.name) for f in fields(ChiHyperparams)]
+)
+# a wrong type, a bool, null, NaN, +-inf, a negative, zero, an empty and a nested list
+EDGE_VALUES = ["x", True, None, math.nan, math.inf, -math.inf, -1, 0, [], [[1.5]]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(EDGE_VALUES),
+    st.booleans(),
+    st.sampled_from(["cv", "fixed", "sweep"]),
+)
+def test_config_edge_is_refused_or_sweeps_without_failure(value, as_list, c_policy):
+    """Set each field in turn to the edge value (or a one-entry list of it):
+    from_dict refuses it with ValueError, or every cell of the sweep runs."""
+    for path in FIELD_PATHS:
+        payload = copy.deepcopy({**TINY_SPEC, "c_policy": c_policy})
+        node = payload
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = [value] if as_list else value
+        try:
+            spec = ExperimentSpec.from_dict(payload)
+        except ValueError:
+            continue
+        runs = run_pipeline(spec).runs
+        assert [run["error"] for run in runs if run["error"]] == [], path
+        n_splits = len(spec.train_ratios) * len(spec.label_ratios) * spec.n_seeds
+        n_c = len(spec.c_grid) if spec.c_policy == "sweep" else 1
+        cells = {"uqchi": n_splits * n_c * len(spec.rejection_rates), "chi": n_splits}
+        logged = {m: sum(r["method"] == m for r in runs) for m in spec.baselines}
+        assert logged == {m: cells[m] for m in spec.baselines} and all(logged.values()), path
