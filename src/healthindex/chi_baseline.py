@@ -23,6 +23,7 @@ from .errors import GE_ZERO, GT_ZERO, Config, DimensionMismatch, NonFiniteObject
 # importable from here because perfbench's tracer wraps chi_baseline.save_model
 from .med_core import FORMAT_VERSION, save_model  # noqa: F401
 from .panel import NEGATIVE, POSITIVE, LongitudinalPanel
+from .predictor import PredictionRecord
 
 
 @dataclass(frozen=True)
@@ -77,24 +78,23 @@ class _Design:
 
 
 def _build_design(panel: LongitudinalPanel, hyper: ChiHyperparams) -> _Design:
-    d = panel.d
-    labeled = [s for s in panel.subjects if s.label is not None]
-    n_lab = len(labeled)
-    n_rows = n_lab + sum(s.n_visits - 1 for s in panel.subjects)
+    d, labels, terminals = panel.d, panel.labels, panel.terminals
+    labeled = labels != 0
+    n_lab = int(labeled.sum())
+    n_rows = n_lab + panel.observations.shape[0] - panel.n_subjects
     rows = np.zeros((n_rows, d + 1))
-    for i, s in enumerate(labeled):
-        rows[i, :d] = s.label * s.terminal
-        rows[i, d] = s.label
-    at = n_lab
-    for s in panel.subjects:
-        rows[at : at + s.n_visits - 1, :d] = s.visit_diffs()
-        at += s.n_visits - 1
+    rows[:n_lab, :d] = labels[labeled, None] * terminals[labeled]
+    rows[:n_lab, d] = labels[labeled]
+    # subject j's step k >= 1 goes to row before[j] + k: its steps in visit order
+    before = n_lab + panel.offsets[:-1] - np.arange(panel.n_subjects) - 1
+    for has, k, step in panel.visit_steps():
+        rows[before[has] + k, :d] = step
     weights = np.full(n_rows, hyper.alpha, dtype=float)
     weights[:n_lab] = hyper.beta
     quad = np.eye(d + 1)
     quad[d, d] = 0.0
     for label in (POSITIVE, NEGATIVE):
-        members = np.array([s.terminal for s in labeled if s.label == label])
+        members = terminals[labels == label]
         if len(members):
             centered = members - members.mean(axis=0)
             quad[:d, :d] += (hyper.lambda_var / len(members)) * (centered.T @ centered)
@@ -150,7 +150,7 @@ def chi_train(
     hyper = hyper or ChiHyperparams()
     Range(1).check("steps", steps)
     GT_ZERO.check("step_size", step_size)
-    if not panel.observed_labels():
+    if not panel.labels.any():
         raise ValueError("training needs at least one labeled subject")
     design = _build_design(panel, hyper)
 
@@ -181,9 +181,19 @@ def chi_predict(model: ChiModel, x: Sequence[float]) -> int:
     return 1 if float(x @ model.w) + model.b >= 0.0 else -1
 
 
-def chi_predict_panel(model: ChiModel, panel: LongitudinalPanel) -> dict[str, int]:
-    """Terminal-visit predictions keyed by subject id."""
-    return {s.subject_id: chi_predict(model, s.terminal) for s in panel.subjects}
+def chi_predict_panel(model: ChiModel, panel: LongitudinalPanel) -> list[PredictionRecord]:
+    """One record per subject from the affine score x.w + b of its terminal
+    visit x, the ``index_mean``: one dot product per visit, as
+    ``chi_predict`` takes it, and a tie goes to +1. The baseline has no
+    posterior, so no std or confidence."""
+    if model.d != panel.d:
+        raise DimensionMismatch(f"model has d={model.d}, panel has d={panel.d}")
+    last = panel.offsets[1:] - 1
+    scores = [float(x @ model.w) + model.b for x in panel.observations[last]]
+    return [
+        PredictionRecord(sid, t, score, None, 1 if score >= 0.0 else -1, None)
+        for sid, t, score in zip(panel.subject_ids, panel.times[last].tolist(), scores)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -165,17 +165,7 @@ def _cmd_predict(args) -> int:
         elif args.reject_threshold is not None:
             records = predictor.reject_by_threshold(records, args.reject_threshold)
     else:
-        records = [
-            predictor.PredictionRecord(
-                subject_id=s.subject_id,
-                t_last=int(s.times[-1]),
-                index_mean=float(s.terminal @ model.w) + model.b,
-                index_std=None,
-                predicted_label=chi_baseline.chi_predict(model, s.terminal),
-                confidence=None,
-            )
-            for s in scored.subjects
-        ]
+        records = chi_baseline.chi_predict_panel(model, scored)
     predictor.write_predictions(records, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -157,7 +157,8 @@ class Config:
     @classmethod
     def from_dict(cls, payload):
         """Build from a JSON object, refusing unknown keys with ValueError; a
-        nested config given as an object is built by its own from_dict."""
+        nested config given as an object is built by its own from_dict, and
+        its error names the parent field."""
         if not isinstance(payload, Mapping):
             kind = type(payload).__name__
             raise ValueError(f"{cls.__name__} must be a JSON object, got {kind}")
@@ -167,5 +168,9 @@ class Config:
         payload = dict(payload)
         for name, kind, *_ in _field_rules(cls):
             if issubclass(kind, Config) and payload.get(name) is not None:
-                payload[name] = kind.from_dict(payload[name])
+                try:
+                    payload[name] = kind.from_dict(payload[name])
+                except ValueError as exc:  # "sim.seed must ...", else "sim: need ..."
+                    own = str(exc).split(" ", 1)[0] in {f.name for f in dataclasses.fields(kind)}
+                    raise ValueError(f"{name}{'.' if own else ': '}{exc}") from None
         return cls(**payload)

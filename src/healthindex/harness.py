@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Annotated, Mapping, Sequence
 
@@ -108,20 +108,21 @@ def train_uqchi(
     return med_core.posterior(solution, problem), solution, problem
 
 
-def _fold_sets(labeled_ids: Sequence[str], folds: int, seed: int) -> list[set[str]]:
-    """Shuffle the labeled ids and partition them into ``folds`` held-out sets.
+def _fold_sets(labeled: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
+    """Shuffle the labeled subjects' positions and partition them into
+    ``folds`` held-out sets.
 
-    With fewer ids than folds this falls back, with a warning, to a single
-    holdout of the first half of the shuffled ids.
+    With fewer positions than folds this falls back, with a warning, to a
+    single holdout of the first half of the shuffled positions.
     """
-    shuffled = list(np.random.default_rng(seed).permutation(labeled_ids))
+    shuffled = np.random.default_rng(seed).permutation(labeled)
     if len(shuffled) < folds:
         warnings.warn(
             f"{len(shuffled)} labeled subjects < {folds} folds: "
             "falling back to a single holdout split"
         )
-        return [set(shuffled[: len(shuffled) // 2])]
-    return [set(part) for part in np.array_split(np.array(shuffled), folds)]
+        return [shuffled[: len(shuffled) // 2]]
+    return np.array_split(shuffled, folds)
 
 
 def cross_validate_c(
@@ -154,18 +155,18 @@ def cross_validate_c(
     grid = sorted(set(float(c) for c in c_grid))
     if not grid:
         raise ValueError("empty c grid")
-    subjects = train_panel.subjects
-    labeled_ids = [s.subject_id for s in subjects if s.label is not None]
-    if len(labeled_ids) < 2:
+    labels = train_panel.labels
+    labeled = np.flatnonzero(labels)
+    if len(labeled) < 2:
         warnings.warn("fewer than two labeled subjects: returning smallest c")
         return grid[0]
 
     matrix = aggregates(train_panel)
-    terminals = np.array([s.terminal for s in subjects])
-    labels = np.array([0 if s.label is None else s.label for s in subjects])
+    terminals = train_panel.terminals
     scores = [[] for _ in grid]
-    for heldout_ids in _fold_sets(labeled_ids, folds, seed):
-        heldout = np.array([s.subject_id in heldout_ids for s in subjects])
+    for heldout_rows in _fold_sets(labeled, folds, seed):
+        heldout = np.zeros(len(labels), dtype=bool)
+        heldout[heldout_rows] = True
         fold_matrix = matrix[~heldout]
         x_eval, y_eval = terminals[heldout], labels[heldout]
         lam = c_prev = None
@@ -369,12 +370,8 @@ def _chi_cell(
     model = chi_train(
         train_s, spec.chi_hyper, steps=spec.chi_steps, step_size=spec.chi_step_size
     )
-    preds = {
-        sid: label
-        for sid, label in chi_predict_panel(model, test_s).items()
-        if sid in scored_ids
-    }
-    result = evaluate(preds, truth)
+    records = [r for r in chi_predict_panel(model, test_s) if r.subject_id in scored_ids]
+    result = evaluate(records_to_labels(records), truth)
     return [(result.accuracy, result.n_abstained, None)]
 
 
@@ -404,33 +401,29 @@ def _table(runs: Sequence[dict]) -> ResultTable:
     return ResultTable(tuple(rows))
 
 
+def _split(panel, truth, train_ratio, label_ratio, seed):
+    """(train, test, truth, scored test ids) of one split, both sides
+    standardized with the train side's fit."""
+    train, test = split_and_mask(panel, train_ratio, label_ratio, seed)
+    standardization = fit_standardization(train)
+    train_s = apply_standardization(train, standardization)
+    test_s = apply_standardization(test, standardization)
+    return train_s, test_s, truth, {sid for sid in test_s.subject_ids if sid in truth}
+
+
 def run_pipeline(spec: ExperimentSpec) -> PipelineResult:
     """Walk the grid, log one run per cell key and seed, and compute the
     table from that log.
 
-    A failing cell is logged with its coordinates and error under every key
-    it covers, never fatal. Output is deterministic in the spec: identical
-    specs give byte-identical tables and logs.
+    A failing split or cell is logged with its coordinates and error under
+    every key it covers, never fatal. Output is deterministic in the spec:
+    identical specs give byte-identical tables and logs.
     """
     runs: list[dict] = []
     sources = _source_panels(spec)
     for train_ratio in spec.train_ratios:
         for label_ratio in spec.label_ratios:
             for i, (panel, truth) in enumerate(sources):
-                train, test = split_and_mask(
-                    panel,
-                    train_fraction=train_ratio,
-                    unlabeled_fraction=label_ratio,
-                    seed=spec.seed + i + _SPLIT_SEED_OFFSET,
-                )
-                standardization = fit_standardization(train)
-                train_s = apply_standardization(train, standardization)
-                test_s = apply_standardization(test, standardization)
-                scored_ids = {
-                    s.subject_id for s in test_s.subjects if s.subject_id in truth
-                }
-                split = (train_s, test_s, truth, scored_ids)
-
                 cells = []
                 if METHOD_UQCHI in spec.baselines:
                     for c_key, c_value in _c_cells(spec):
@@ -438,15 +431,18 @@ def run_pipeline(spec: ExperimentSpec) -> PipelineResult:
                             (METHOD_UQCHI, label_ratio, train_ratio, rate, c_key)
                             for rate in spec.rejection_rates
                         ]
-                        cells.append((keys, partial(_uqchi_cell, spec, i, *split, c_value)))
+                        cells.append((keys, partial(_uqchi_cell, spec, i, c_value=c_value)))
                 if METHOD_CHI in spec.baselines:
                     keys = [(METHOD_CHI, label_ratio, train_ratio, 0.0, "")]
-                    cells.append((keys, partial(_chi_cell, spec, *split)))
+                    cells.append((keys, partial(_chi_cell, spec)))
 
+                # made by the first cell; a failing split fails each cell again
+                seed = spec.seed + i + _SPLIT_SEED_OFFSET
+                split = cache(partial(_split, panel, truth, train_ratio, label_ratio, seed))
                 for keys, cell in cells:
                     try:
-                        outcomes, error = cell(), None
-                    except Exception as exc:  # noqa: BLE001 - cell isolation
+                        outcomes, error = cell(*split()), None
+                    except Exception as exc:  # noqa: BLE001 - split and cell isolation
                         outcomes = [(None, None, None)] * len(keys)
                         error = f"{type(exc).__name__}: {exc}"
                     for key, (accuracy, abstained, chosen_c) in zip(keys, outcomes):

@@ -1,9 +1,11 @@
 """Data model for irregular multivariate longitudinal panels.
 
-A panel is a collection of per-subject time series with partially observed
-binary labels. This module owns CSV ingestion and emission, feature
-standardization, subject-level train/test splitting with label masking,
-and the per-subject aggregate matrix consumed by the dual solver.
+A panel keeps the visits of all its subjects as the rows of one matrix,
+subject after subject, with row offsets marking where each subject starts,
+and partially observed binary labels. This module owns CSV ingestion and
+emission, feature standardization, subject-level train/test splitting with
+label masking, and the per-subject aggregate matrix consumed by the dual
+solver.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, replace
+from itertools import compress
 from pathlib import Path
 from typing import Mapping
 
@@ -29,12 +32,17 @@ POSITIVE = 1
 NEGATIVE = -1
 
 _LABEL_TOKENS = {"1": POSITIVE, "+1": POSITIVE, "-1": NEGATIVE, "": None}
+# a subject's label as the panel's labels array holds it; _BAD_LABEL is refused
+_LABEL_CODES = {POSITIVE: POSITIVE, NEGATIVE: NEGATIVE, None: 0}
+_BAD_LABEL = 2
 # panel CSV columns before the features: subject id, visit time, label
 _RESERVED_COLUMNS = ("subject_id", "t", "label")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """``values`` as a read-only array, without a copy when it already is an
+    array of ``dtype``: pass arrays that nothing else writes."""
+    arr = np.asarray(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -65,7 +73,9 @@ class Standardization:
         return bool(np.all(self.mean == 0.0) and np.all(self.scale == 1.0))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.mean) / self.scale
+        out = np.asarray(x, dtype=float) - self.mean
+        out /= self.scale  # in place: a whole panel's matrix is large
+        return out
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
@@ -77,38 +87,14 @@ class Standardization:
 
 @dataclass(frozen=True)
 class SubjectSeries:
-    """One subject's visits: strictly increasing integer times, a (T, d)
-    observation matrix and an optional binary label (+1, -1 or None)."""
+    """One subject's visits: integer times, a (T, d) observation matrix and
+    an optional binary label (+1, -1 or None). ``LongitudinalPanel.subjects``
+    gives read-only views of a panel's rows; nothing is checked here."""
 
     subject_id: str
     times: np.ndarray
     observations: np.ndarray
     label: int | None = None
-
-    def __post_init__(self):
-        times = _frozen_array(self.times, dtype=int)
-        obs = _frozen_array(self.observations)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "observations", obs)
-        if obs.ndim != 2 or obs.shape[0] != times.shape[0]:
-            raise DimensionMismatch(
-                f"subject {self.subject_id}: observations must be (T, d) with "
-                f"T == len(times)"
-            )
-        if times.shape[0] < 1:
-            raise PanelFormatError(f"subject {self.subject_id}: needs >= 1 visit")
-        if np.any(np.diff(times) <= 0):
-            raise PanelFormatError(
-                f"subject {self.subject_id}: times must be strictly increasing"
-            )
-        if not np.all(np.isfinite(obs)):
-            raise PanelFormatError(
-                f"subject {self.subject_id}: non-finite observation"
-            )
-        if self.label not in (POSITIVE, NEGATIVE, None):
-            raise PanelFormatError(
-                f"subject {self.subject_id}: label must be +1, -1 or None"
-            )
 
     @property
     def n_visits(self) -> int:
@@ -133,48 +119,120 @@ class SubjectSeries:
 
 @dataclass(frozen=True)
 class LongitudinalPanel:
-    """An immutable collection of subjects sharing feature dimension d."""
+    """An immutable panel of N subjects sharing feature dimension d.
 
-    subjects: tuple[SubjectSeries, ...]
+    Subject j's visits are rows ``offsets[j]:offsets[j + 1]`` of the
+    (rows, d) ``observations`` and the (rows,) ``times``, and ``labels[j]``
+    is +1, -1 or 0 for a missing label. The arrays are made read-only, not
+    copied. The first subject with no visit, times that do not strictly
+    increase, a non-finite observation or a bad label is named, then the
+    first repeated id.
+    """
+
+    subject_ids: tuple[str, ...]
+    offsets: np.ndarray
+    times: np.ndarray
+    observations: np.ndarray
+    labels: np.ndarray
     standardization: Standardization | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "subjects", tuple(self.subjects))
-        if not self.subjects:
+        ids = tuple(self.subject_ids)
+        object.__setattr__(self, "subject_ids", ids)
+        for name, dtype in (("offsets", np.intp), ("times", int), ("observations", float),
+                            ("labels", int)):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype))
+        n, obs, offsets = len(ids), self.observations, self.offsets
+        if not n:
             raise PanelFormatError("panel needs >= 1 subject")
-        d = self.subjects[0].d
-        for s in self.subjects:
-            if s.d != d:
-                raise DimensionMismatch(
-                    f"subject {s.subject_id} has d={s.d}, expected {d}"
-                )
-        seen = set()
-        for s in self.subjects:
-            if s.subject_id in seen:
-                raise PanelFormatError(f"duplicate subject id {s.subject_id}")
-            seen.add(s.subject_id)
+        if (obs.ndim != 2 or self.times.shape != obs.shape[:1] or self.labels.shape != (n,)
+                or offsets.shape != (n + 1,) or offsets[0] != 0 or offsets[-1] != len(obs)
+                or np.any(np.diff(offsets) < 0)):
+            raise DimensionMismatch("panel arrays do not fit together")
+        counts = np.diff(offsets)
+        owner = np.repeat(np.arange(n), counts)  # the subject of each row
+        unordered = owner[1:][(owner[1:] == owner[:-1]) & (np.diff(self.times) <= 0)]
+        faults = {
+            "needs >= 1 visit": counts < 1,
+            "times must be strictly increasing": np.isin(np.arange(n), unordered),
+            "non-finite observation": np.isin(np.arange(n), owner[~np.isfinite(obs).all(axis=1)]),
+            "label must be +1, -1 or None": ~np.isin(self.labels, (POSITIVE, NEGATIVE, 0)),
+        }
+        flags = np.array(list(faults.values()))
+        if flags.any():
+            j = int(np.argmax(flags.any(axis=0)))
+            raise PanelFormatError(f"subject {ids[j]}: {list(faults)[np.argmax(flags[:, j])]}")
+        seen: set[str] = set()
+        for sid in ids:
+            if sid in seen:
+                raise PanelFormatError(f"duplicate subject id {sid}")
+            seen.add(sid)
         if self.standardization is None:
-            object.__setattr__(self, "standardization", Standardization.identity(d))
-        elif self.standardization.mean.shape[0] != d:
+            object.__setattr__(self, "standardization", Standardization.identity(self.d))
+        elif self.standardization.mean.shape[0] != self.d:
             raise DimensionMismatch("standardization dimension != panel dimension")
+
+    @classmethod
+    def from_subjects(cls, subjects, standardization=None) -> "LongitudinalPanel":
+        """A panel of per-subject pieces: SubjectSeries, or anything with
+        their four fields."""
+        subjects = tuple(subjects)
+        if not subjects:
+            raise PanelFormatError("panel needs >= 1 subject")
+        blocks = [np.asarray(s.observations, dtype=float) for s in subjects]
+        for s, x in zip(subjects, blocks):
+            if x.ndim != 2 or x.shape[0] != len(s.times):
+                raise DimensionMismatch(
+                    f"subject {s.subject_id}: observations must be (T, d) with T == len(times)"
+                )
+            if x.shape[1] != blocks[0].shape[1]:
+                raise DimensionMismatch(
+                    f"subject {s.subject_id} has d={x.shape[1]}, expected {blocks[0].shape[1]}"
+                )
+        return cls(
+            tuple(s.subject_id for s in subjects),
+            np.cumsum([0] + [len(x) for x in blocks]),
+            np.concatenate([np.asarray(s.times, dtype=int) for s in subjects]),
+            np.vstack(blocks),
+            [_LABEL_CODES.get(s.label, _BAD_LABEL) for s in subjects],
+            standardization,
+        )
 
     @property
     def d(self) -> int:
-        return self.subjects[0].d
+        return self.observations.shape[1]
 
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
+        return len(self.subject_ids)
 
     @property
-    def subject_ids(self) -> tuple[str, ...]:
-        return tuple(s.subject_id for s in self.subjects)
+    def terminals(self) -> np.ndarray:
+        """Each subject's last visit, an (N, d) matrix."""
+        return self.observations[self.offsets[1:] - 1]
 
-    def labels(self) -> dict[str, int | None]:
-        return {s.subject_id: s.label for s in self.subjects}
+    @property
+    def subjects(self) -> tuple[SubjectSeries, ...]:
+        """Per-subject views of the rows, made anew on every call."""
+        bounds = self.offsets.tolist()
+        return tuple(
+            SubjectSeries(sid, self.times[a:b], self.observations[a:b], label or None)
+            for sid, a, b, label in zip(
+                self.subject_ids, bounds[:-1], bounds[1:], self.labels.tolist()
+            )
+        )
 
     def observed_labels(self) -> dict[str, int]:
-        return {s.subject_id: s.label for s in self.subjects if s.label is not None}
+        return {sid: y for sid, y in zip(self.subject_ids, self.labels.tolist()) if y}
+
+    def visit_steps(self):
+        """For each visit position k >= 1: the positions of the subjects with
+        more than k visits, k, and each one's step x_k - x_(k-1)."""
+        starts, counts = self.offsets[:-1], np.diff(self.offsets)
+        for k in range(1, int(counts.max())):
+            has = np.flatnonzero(counts > k)
+            at = starts[has] + k
+            yield has, k, self.observations[at] - self.observations[at - 1]
 
 
 def aggregates(panel: LongitudinalPanel) -> np.ndarray:
@@ -185,17 +243,20 @@ def aggregates(panel: LongitudinalPanel) -> np.ndarray:
     consecutive-visit differences. The expected label is 2 P(y = +1) - 1:
     +1 or -1 for an observed label, 0 for a missing one (P(y = +1) = 0.5).
     The monotonicity part is accumulated from explicit per-step differences
-    (first to last), which telescopes to terminal - first observation.
+    (first to last), one visit position at a time across all subjects that
+    reach it, which telescopes to terminal - first observation.
     Single-visit subjects contribute no monotonicity term.
     """
-    rows = []
-    for s in panel.subjects:
-        ybar = 0.0 if s.label is None else float(s.label)
-        vec = ybar * s.terminal
-        if s.n_visits > 1:
-            vec = vec + s.visit_diffs().sum(axis=0)
-        rows.append(vec)
-    return np.vstack(rows)
+    rows = panel.labels[:, None] * panel.terminals
+    summed = np.empty_like(rows)
+    for has, k, step in panel.visit_steps():
+        if k == 1:
+            summed[has] = step
+        else:
+            summed[has] += step
+    multi = np.diff(panel.offsets) > 1
+    rows[multi] += summed[multi]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +268,8 @@ def fit_standardization(panel: LongitudinalPanel) -> Standardization:
 
     Constant features get scale 1 so the transform stays invertible.
     """
-    stacked = np.vstack([s.observations for s in panel.subjects])
-    mean = stacked.mean(axis=0)
-    scale = stacked.std(axis=0)
+    mean = panel.observations.mean(axis=0)
+    scale = panel.observations.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
     return Standardization(mean, scale)
 
@@ -223,11 +283,11 @@ def apply_standardization(
     """
     if not panel.standardization.is_identity:
         raise ValueError("panel is already standardized")
-    subjects = tuple(
-        replace(s, observations=standardization.transform(s.observations))
-        for s in panel.subjects
+    return replace(
+        panel,
+        observations=standardization.transform(panel.observations),
+        standardization=standardization,
     )
-    return LongitudinalPanel(subjects, standardization=standardization)
 
 
 def standardize(panel: LongitudinalPanel) -> LongitudinalPanel:
@@ -422,13 +482,12 @@ def load_panel(path) -> LongitudinalPanel:
         raise DuplicateTimeIndex(
             f"subject {ids[codes[i]]}: duplicate time index t={times[i]}"
         )
-    features = features[order]
-    bounds = np.flatnonzero(np.diff(codes, prepend=-1, append=len(ids))).tolist()
     return LongitudinalPanel(
-        tuple(
-            SubjectSeries(sid, times[a:b], features[a:b], subject_labels[sid])
-            for sid, a, b in zip(ids, bounds[:-1], bounds[1:])
-        )
+        tuple(ids),
+        np.flatnonzero(np.diff(codes, prepend=-1, append=len(ids))),
+        times,
+        features[order],
+        [label or 0 for label in subject_labels.values()],
     )
 
 
@@ -471,17 +530,15 @@ def write_panel(panel: LongitudinalPanel, path) -> None:
     quoted when it holds a comma, a quote or a line break. Floats use repr,
     so load_panel reads back the same bits."""
     header = list(_RESERVED_COLUMNS) + [f"f{k + 1}" for k in range(panel.d)]
+    sids = [_csv_field(sid) for sid in panel.subject_ids]
+    labels = [label or "" for label in panel.labels.tolist()]
+    owner = np.repeat(np.arange(panel.n_subjects), np.diff(panel.offsets)).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for s in panel.subjects:
-            sid = _csv_field(s.subject_id)
-            label = "" if s.label is None else str(s.label)
-            fh.write(
-                "".join(
-                    f"{sid},{t},{label},{','.join(map(repr, row))}\r\n"
-                    for t, row in zip(s.times.tolist(), s.observations.tolist())
-                )
-            )
+        fh.writelines(  # row by row: the whole matrix as Python floats is large
+            f"{sids[j]},{t},{labels[j]},{','.join(map(repr, row.tolist()))}\r\n"
+            for j, t, row in zip(owner, panel.times.tolist(), panel.observations)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +568,23 @@ def split_and_mask(
     n_train = _round_half_up(train_fraction * panel.n_subjects)
     if n_train == 0 or n_train == panel.n_subjects:
         raise ValueError("split leaves an empty train or test side")
-    train_idx = sorted(order[:n_train])
-    test_idx = sorted(order[n_train:])
-
-    train_subjects = [panel.subjects[i] for i in train_idx]
+    train = np.zeros(panel.n_subjects, dtype=bool)
+    train[order[:n_train]] = True
+    labels = panel.labels.copy()
     n_mask = _round_half_up(unlabeled_fraction * n_train)
-    mask_positions = set(rng.choice(n_train, size=n_mask, replace=False).tolist())
-    train_subjects = tuple(
-        replace(s, label=None) if i in mask_positions else s
-        for i, s in enumerate(train_subjects)
-    )
-    test_subjects = tuple(panel.subjects[i] for i in test_idx)
-    return (
-        LongitudinalPanel(train_subjects, standardization=panel.standardization),
-        LongitudinalPanel(test_subjects, standardization=panel.standardization),
+    labels[np.flatnonzero(train)[rng.choice(n_train, size=n_mask, replace=False)]] = 0
+    return _subset(panel, train, labels), _subset(panel, ~train, labels)
+
+
+def _subset(panel: LongitudinalPanel, keep: np.ndarray, labels: np.ndarray) -> LongitudinalPanel:
+    """The subjects where ``keep`` is True, in panel order, with ``labels``."""
+    counts = np.diff(panel.offsets)
+    rows = np.repeat(keep, counts)
+    return LongitudinalPanel(
+        tuple(compress(panel.subject_ids, keep)),
+        np.cumsum(np.append(0, counts[keep])),
+        panel.times[rows],
+        panel.observations[rows],
+        labels[keep],
+        panel.standardization,
     )

@@ -49,13 +49,18 @@ def predict(posterior: WeightPosterior, x: Sequence[float]) -> int:
     return 1 if float(posterior.mean @ x) >= 0.0 else -1
 
 
+def _index(posterior: WeightPosterior, x: np.ndarray) -> tuple[float, float]:
+    """The index mean v.x and standard deviation ||x|| of one visit x: the
+    one expression that prediction, confidence and trajectories share."""
+    return float(posterior.mean @ x), float(np.linalg.norm(x))
+
+
 def confidence(posterior: WeightPosterior, x: Sequence[float]) -> float:
     """Phi(|v.x| / ||x||): the larger of the two class probabilities."""
-    x = _check_dim(posterior, x)
-    norm = float(np.linalg.norm(x))
+    mean, norm = _index(posterior, _check_dim(posterior, x))
     if norm == 0.0:
         raise ZeroFeatureVector("confidence undefined for an all-zero feature vector")
-    return _normal_cdf(abs(float(posterior.mean @ x)) / norm)
+    return _normal_cdf(abs(mean) / norm)
 
 
 @dataclass(frozen=True)
@@ -70,25 +75,18 @@ class IndexTrajectory:
 
 def index_trajectory(posterior: WeightPosterior, series: SubjectSeries) -> IndexTrajectory:
     """Index mean v.x_t and std ||x_t|| per visit, with a count of visits
-    where the mean index decreases.
-
-    The means come from one matrix-vector product over all visits and the
-    stds from a row-wise norm, so the last visit's values can differ in the
-    last bits from the ``index_mean`` and ``index_std`` that
-    ``predict_panel`` computes for the same visit with a per-row dot
-    product and a vector norm."""
+    where the mean index decreases. The last visit's mean and std are the
+    ``index_mean`` and ``index_std`` that ``predict_panel`` records."""
     if series.d != posterior.d:
         raise DimensionMismatch(
             f"series has d={series.d}, posterior has d={posterior.d}"
         )
-    means = series.observations @ posterior.mean
-    stds = np.linalg.norm(series.observations, axis=1)
-    violations = int(np.sum(np.diff(means) < 0.0))
+    means, stds = zip(*(_index(posterior, x) for x in series.observations))
     return IndexTrajectory(
         times=tuple(int(t) for t in series.times),
-        means=tuple(float(m) for m in means),
-        stds=tuple(float(s) for s in stds),
-        monotonicity_violations=violations,
+        means=means,
+        stds=stds,
+        monotonicity_violations=int(np.sum(np.diff(means) < 0.0)),
     )
 
 
@@ -123,15 +121,14 @@ def predict_panel(posterior: WeightPosterior, panel: LongitudinalPanel) -> list[
     rejection abstains on it first."""
     if panel.d != posterior.d:
         raise DimensionMismatch(f"panel has d={panel.d}, posterior has d={posterior.d}")
+    last = panel.offsets[1:] - 1
     records = []
-    for s in panel.subjects:
-        x = s.terminal
-        mean = float(posterior.mean @ x)
-        std = float(np.linalg.norm(x))
+    for sid, t, x in zip(panel.subject_ids, panel.times[last].tolist(), panel.observations[last]):
+        mean, std = _index(posterior, x)
         records.append(
             PredictionRecord(
-                subject_id=s.subject_id,
-                t_last=int(s.times[-1]),
+                subject_id=sid,
+                t_last=t,
                 index_mean=mean,
                 index_std=std,
                 predicted_label=1 if mean >= 0.0 else -1,

@@ -17,13 +17,7 @@ from typing import Annotated
 import numpy as np
 
 from .errors import GE_ZERO, Config, Range
-from .panel import (
-    NEGATIVE,
-    POSITIVE,
-    LongitudinalPanel,
-    SubjectSeries,
-    write_panel,
-)
+from .panel import NEGATIVE, POSITIVE, LongitudinalPanel, write_panel
 
 FORMAT_VERSION = 1
 
@@ -88,35 +82,32 @@ def _generate(config: SimConfig):
     k = config.informative_k
     delta = config.degradation_rate
 
-    subjects = []
-    truth: dict[str, int] = {}
-    counter = 0
-    for class_label, count in ((NEGATIVE, n_normal), (POSITIVE, n_diseased)):
-        for _ in range(count):
-            counter += 1
-            sid = f"s{counter:0{width}d}"
-            n_visits = int(rng.integers(config.visits_min, config.visits_max + 1))
-            x = rng.standard_normal((n_visits, config.d)) * sigmas
-            if class_label == POSITIVE and k > 0:
-                x[:, :k] += delta * np.arange(n_visits)[:, None]
-            subjects.append(
-                SubjectSeries(sid, np.arange(1, n_visits + 1), x, label=class_label)
-            )
-            truth[sid] = class_label
+    ids = tuple(f"s{j:0{width}d}" for j in range(1, total + 1))
+    labels = np.repeat([NEGATIVE, POSITIVE], [n_normal, n_diseased])
+    blocks = []
+    for class_label in labels.tolist():
+        n_visits = int(rng.integers(config.visits_min, config.visits_max + 1))
+        x = rng.standard_normal((n_visits, config.d)) * sigmas
+        if class_label == POSITIVE and k > 0:
+            x[:, :k] += delta * np.arange(n_visits)[:, None]
+        blocks.append(x)
+    truth = dict(zip(ids, labels.tolist()))
 
     # hide labels outside a floor(fraction * class size) observed subset per class
-    observed: set[str] = set()
-    offset = 0
-    for count in (n_normal, n_diseased):
+    observed = np.zeros(total, dtype=bool)
+    for offset, count in ((0, n_normal), (n_normal, n_diseased)):
         n_observed = int(np.floor(config.label_observed_fraction * count))
-        chosen = rng.choice(count, size=n_observed, replace=False)
-        observed.update(subjects[offset + i].subject_id for i in chosen)
-        offset += count
-    subjects = tuple(
-        s if s.subject_id in observed else SubjectSeries(s.subject_id, s.times, s.observations, None)
-        for s in subjects
+        observed[offset + rng.choice(count, size=n_observed, replace=False)] = True
+    counts = [x.shape[0] for x in blocks]
+    offsets = np.cumsum([0] + counts)
+    panel = LongitudinalPanel(
+        ids,
+        offsets,
+        np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts) + 1,
+        np.vstack(blocks),
+        np.where(observed, labels, 0),
     )
-    return LongitudinalPanel(subjects), truth, sigmas
+    return panel, truth, sigmas
 
 
 def simulate(config: SimConfig) -> tuple[LongitudinalPanel, dict[str, int]]:

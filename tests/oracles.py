@@ -2,11 +2,16 @@
 
 Everything here avoids the production code paths it is used to check:
 finite differences for gradients, Monte Carlo for the Gaussian integral,
-and grid search plus coordinate-wise golden-section ascent for the dual
-optimum.
+grid search plus coordinate-wise golden-section ascent for the dual
+optimum, and one Python loop per subject for the panel layers the flat
+panel computes with whole-matrix operations.
 """
 
+from typing import NamedTuple
+
 import numpy as np
+
+from healthindex.errors import DimensionMismatch, PanelFormatError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -145,7 +150,7 @@ def cross_validate_c_cold(train_panel, c_grid, folds, seed):
         scores = []
         for heldout in fold_sets:
             heldout_set = set(heldout)
-            fold_train = LongitudinalPanel(
+            fold_train = LongitudinalPanel.from_subjects(
                 tuple(s for s in train_panel.subjects if s.subject_id not in heldout_set),
                 standardization=train_panel.standardization,
             )
@@ -220,3 +225,118 @@ def chi_train_per_term(panel, hyper, steps=400, step_size=0.01):
         if value < best_value:
             best_value, best_w, best_b = value, w, b
     return best_w, best_b
+
+
+# ---------------------------------------------------------------------------
+# per-subject panel references: the panel layers as they were computed when
+# a panel was a tuple of per-subject objects, one loop iteration per subject
+
+
+class Series(NamedTuple):
+    """One subject's pieces, as ``LongitudinalPanel.from_subjects`` takes them."""
+
+    subject_id: str
+    times: np.ndarray
+    observations: np.ndarray
+    label: int | None = None
+
+
+def validate_subjects(subjects):
+    """Each subject's checks in turn, then the panel's; raises the error a
+    panel of these subjects must raise."""
+    for s in subjects:
+        times = np.array(s.times, dtype=int)
+        obs = np.array(s.observations, dtype=float)
+        if obs.ndim != 2 or obs.shape[0] != times.shape[0]:
+            raise DimensionMismatch(
+                f"subject {s.subject_id}: observations must be (T, d) with "
+                f"T == len(times)"
+            )
+        if times.shape[0] < 1:
+            raise PanelFormatError(f"subject {s.subject_id}: needs >= 1 visit")
+        if np.any(np.diff(times) <= 0):
+            raise PanelFormatError(
+                f"subject {s.subject_id}: times must be strictly increasing"
+            )
+        if not np.all(np.isfinite(obs)):
+            raise PanelFormatError(f"subject {s.subject_id}: non-finite observation")
+        if s.label not in (1, -1, None):
+            raise PanelFormatError(
+                f"subject {s.subject_id}: label must be +1, -1 or None"
+            )
+    if not subjects:
+        raise PanelFormatError("panel needs >= 1 subject")
+    d = np.shape(subjects[0].observations)[1]
+    for s in subjects:
+        if np.shape(s.observations)[1] != d:
+            raise DimensionMismatch(
+                f"subject {s.subject_id} has d={np.shape(s.observations)[1]}, expected {d}"
+            )
+    seen = set()
+    for s in subjects:
+        if s.subject_id in seen:
+            raise PanelFormatError(f"duplicate subject id {s.subject_id}")
+        seen.add(s.subject_id)
+
+
+def aggregates_per_subject(subjects):
+    """Expected label times the terminal visit, plus the per-subject sum of
+    consecutive-visit differences when there are any."""
+    rows = []
+    for s in subjects:
+        ybar = 0.0 if s.label is None else float(s.label)
+        vec = ybar * s.observations[-1]
+        if len(s.times) > 1:
+            vec = vec + np.diff(s.observations, axis=0).sum(axis=0)
+        rows.append(vec)
+    return np.vstack(rows)
+
+
+def standardize_per_subject(subjects):
+    """(mean, scale, each subject's transformed observations)."""
+    stacked = np.vstack([s.observations for s in subjects])
+    mean = stacked.mean(axis=0)
+    scale = stacked.std(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    return mean, scale, [(s.observations - mean) / scale for s in subjects]
+
+
+def split_and_mask_per_subject(subjects, train_fraction, unlabeled_fraction, seed):
+    """(train, test) subject lists, with the masked train labels set to None."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(subjects))
+    n_train = int(np.floor(train_fraction * len(subjects) + 0.5))
+    if n_train == 0 or n_train == len(subjects):
+        raise ValueError("split leaves an empty train or test side")
+    train = [subjects[i] for i in sorted(order[:n_train])]
+    n_mask = int(np.floor(unlabeled_fraction * n_train + 0.5))
+    masked = set(rng.choice(n_train, size=n_mask, replace=False).tolist())
+    train = [s._replace(label=None) if i in masked else s for i, s in enumerate(train)]
+    return train, [subjects[i] for i in sorted(order[n_train:])]
+
+
+def chi_design_per_subject(subjects, hyper):
+    """The chi objective's stacked hinge rows, their weights and the
+    quadratic form, filled one subject at a time."""
+    d = np.shape(subjects[0].observations)[1]
+    labeled = [s for s in subjects if s.label is not None]
+    n_lab = len(labeled)
+    n_rows = n_lab + sum(len(s.times) - 1 for s in subjects)
+    rows = np.zeros((n_rows, d + 1))
+    for i, s in enumerate(labeled):
+        rows[i, :d] = s.label * s.observations[-1]
+        rows[i, d] = s.label
+    at = n_lab
+    for s in subjects:
+        rows[at : at + len(s.times) - 1, :d] = np.diff(s.observations, axis=0)
+        at += len(s.times) - 1
+    weights = np.full(n_rows, hyper.alpha, dtype=float)
+    weights[:n_lab] = hyper.beta
+    quad = np.eye(d + 1)
+    quad[d, d] = 0.0
+    for label in (1, -1):
+        members = np.array([s.observations[-1] for s in labeled if s.label == label])
+        if len(members):
+            centered = members - members.mean(axis=0)
+            quad[:d, :d] += (hyper.lambda_var / len(members)) * (centered.T @ centered)
+    return rows, weights, quad

@@ -32,7 +32,7 @@ def series(rows, sid="s", label=None):
 def toy_panel():
     """Separable 1-d panel: both classes improve by +1 per visit, terminal
     visits sit at +2 and -2."""
-    return LongitudinalPanel(
+    return LongitudinalPanel.from_subjects(
         (
             series([[1.0], [2.0]], "pos", label=1),
             series([[-3.0], [-2.0]], "neg", label=-1),
@@ -48,7 +48,7 @@ def random_labeled_panel(rng, n_subjects=6, d=3):
         drift = 0.3 * label * np.arange(n_visits)[:, None]
         obs = rng.normal(size=(n_visits, d)) + drift
         subjects.append(series(obs, f"s{i}", label=label))
-    return LongitudinalPanel(tuple(subjects))
+    return LongitudinalPanel.from_subjects(tuple(subjects))
 
 
 class TestHyperparams:
@@ -82,7 +82,7 @@ class TestObjective:
         assert value == pytest.approx(0.5 * 1.5**2)
 
     def test_single_class_skips_missing_variance_term(self):
-        panel = LongitudinalPanel(
+        panel = LongitudinalPanel.from_subjects(
             (
                 series([[1.0], [2.0]], "a", label=1),
                 series([[0.5], [1.5]], "b", label=1),
@@ -98,7 +98,7 @@ class TestObjective:
         rng = np.random.default_rng(2)
         base = random_labeled_panel(rng)
         extra = series(rng.normal(size=(3, base.d)), "unlab", label=None)
-        grown = LongitudinalPanel(base.subjects + (extra,))
+        grown = LongitudinalPanel.from_subjects(base.subjects + (extra,))
         hyper_no_mono = ChiHyperparams(alpha=0.0, beta=1.0, lambda_var=1.0, gamma_l1=1.0)
         model = ChiModel(rng.normal(size=base.d), 0.3)
         assert chi_objective(model, grown, hyper_no_mono) == pytest.approx(
@@ -162,14 +162,14 @@ def _near_kink(panel, w, b, margin=1e-4):
 
 def _single_class_panel():
     rng = np.random.default_rng(21)
-    return LongitudinalPanel(
+    return LongitudinalPanel.from_subjects(
         tuple(series(rng.normal(size=(i % 3 + 1, 3)), f"p{i}", label=1) for i in range(5))
     )
 
 
 def _single_visit_panel():
     rng = np.random.default_rng(22)
-    return LongitudinalPanel(
+    return LongitudinalPanel.from_subjects(
         tuple(series(rng.normal(size=(1, 3)), f"s{i}", label=1 - 2 * (i % 2)) for i in range(6))
     )
 
@@ -178,7 +178,7 @@ def _partly_unlabeled_panel():
     rng = np.random.default_rng(23)
     base = random_labeled_panel(rng, n_subjects=7, d=4)
     extra = tuple(series(rng.normal(size=(3, 4)), f"u{i}") for i in range(4))
-    return LongitudinalPanel(base.subjects + extra)
+    return LongitudinalPanel.from_subjects(base.subjects + extra)
 
 
 ORACLE_PANELS = {
@@ -277,7 +277,7 @@ class TestTraining:
         assert a.b == b.b
 
     def test_unlabeled_only_panel_rejected(self):
-        panel = LongitudinalPanel((series([[1.0], [2.0]], "u"),))
+        panel = LongitudinalPanel.from_subjects((series([[1.0], [2.0]], "u"),))
         with pytest.raises(ValueError):
             chi_train(panel)
 
@@ -299,7 +299,7 @@ class TestTraining:
                 obs = rng.normal(size=(n_visits, 2)).cumsum(axis=0)
                 obs[-1] += label * 2.0
                 subjects.append(series(obs, f"s{i}", label=label))
-            panel = LongitudinalPanel(tuple(subjects))
+            panel = LongitudinalPanel.from_subjects(tuple(subjects))
             for alpha in alphas:
                 hyper = ChiHyperparams(alpha=alpha, beta=1.0, lambda_var=0.0, gamma_l1=0.0)
                 model = chi_train(panel, hyper, steps=300, step_size=0.05)

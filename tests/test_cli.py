@@ -6,6 +6,7 @@ import pytest
 
 from healthindex.cli import main
 from healthindex.panel import LongitudinalPanel, load_panel, write_panel
+from healthindex.simulator import SimConfig
 
 
 def run(args):
@@ -227,7 +228,7 @@ class TestTrainPredictEvaluate:
             first, observations=np.vstack([first.observations[:-1], np.zeros(3)])
         )
         panel = tmp_path / "zeroed.csv"
-        write_panel(LongitudinalPanel((zeroed,) + source.subjects[1:]), panel)
+        write_panel(LongitudinalPanel.from_subjects((zeroed,) + source.subjects[1:]), panel)
         model = tmp_path / "m.json"
         preds = tmp_path / "p.csv"
         assert run(["train", "--panel", panel, "--out", model, "--no-standardize"]) == 0
@@ -355,4 +356,27 @@ class TestSweep:
         config = tmp_path / "typo.json"
         config.write_text(json.dumps(payload))
         assert run(["sweep", "--config", config, "--out-dir", tmp_path / "o"]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err
+        if isinstance(payload, dict) and "sim" in payload and not named.startswith("sim."):
+            # an error inside the sim config names its parent field first
+            field = named.split(" ", 1)[0]
+            sim_fields = {f.name for f in dataclasses.fields(SimConfig)}
+            assert f"error: sim.{named}" in err if field in sim_fields else "error: sim: " in err
+
+    def test_failed_split_is_logged_and_the_sweep_goes_on(self, tmp_path):
+        """One subject per class leaves an empty side at train ratio 0.2;
+        every cell of that split logs the error."""
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({
+            "sim": {"d": 4, "n_per_class": 1, "informative_k": 1,
+                    "label_observed_fraction": 1.0},
+            "train_ratios": [0.2], "label_ratios": [0.5], "n_seeds": 1, "c_policy": "fixed",
+        }))
+        out = tmp_path / "o"
+        assert run(["sweep", "--config", config, "--out-dir", out]) == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["uqchi"] * 3 + ["chi"]
+        assert all(row.endswith(",,,0,,1") for row in rows)
+        errors = {json.loads(line)["error"] for line in (out / "runs.jsonl").open()}
+        assert errors == {"ValueError: split leaves an empty train or test side"}

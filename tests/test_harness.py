@@ -122,14 +122,14 @@ class TestCrossValidateC:
             series(np.random.default_rng(i).normal(size=(3, 2)), f"s{i}")
             for i in range(6)
         )
-        panel = LongitudinalPanel(subjects)
+        panel = LongitudinalPanel.from_subjects(subjects)
         with pytest.warns(UserWarning):
             chosen = cross_validate_c(panel, [5.0, 1.5, 20.0], folds=3, seed=0)
         assert chosen == 1.5
 
     def test_holdout_fallback_warns(self):
         panel = self.build_panel(n=30)
-        few_labels = LongitudinalPanel(
+        few_labels = LongitudinalPanel.from_subjects(
             tuple(
                 s if i < 4 else dataclasses.replace(s, label=None)
                 for i, s in enumerate(panel.subjects)
@@ -180,7 +180,7 @@ class TestCrossValidateC:
         zeroed = dataclasses.replace(
             first, observations=np.vstack([first.observations[:-1], np.zeros(first.d)])
         )
-        panel = LongitudinalPanel(
+        panel = LongitudinalPanel.from_subjects(
             (zeroed,) + panel.subjects[1:], standardization=panel.standardization
         )
         grid = (1.5, 3.0, 100.0)

@@ -29,7 +29,7 @@ def make_series(sid, rows, label=None, times=None):
 
 
 def make_panel(*series):
-    return LongitudinalPanel(tuple(series))
+    return LongitudinalPanel.from_subjects(tuple(series))
 
 
 def random_panel(rng, n_subjects=6, d=3, labeled_fraction=0.5):
@@ -65,7 +65,7 @@ class TestCsvLoading:
         panel = load_panel(path)
         assert panel.n_subjects == 2
         assert panel.d == 2
-        assert panel.labels() == {"a": 1, "b": None}
+        assert panel.labels.tolist() == [1, 0]
         a = panel.subjects[0]
         assert a.subject_id == "a"
         assert a.label == 1
@@ -232,7 +232,7 @@ class TestCsvLoading:
 class TestSeriesValidation:
     def test_times_must_increase(self):
         with pytest.raises(PanelFormatError):
-            make_series("s", [[0.0], [1.0]], times=np.array([2, 2]))
+            make_panel(make_series("s", [[0.0], [1.0]], times=np.array([2, 2])))
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -242,7 +242,7 @@ class TestSeriesValidation:
             )
 
     def test_arrays_are_immutable(self):
-        s = make_series("s", [[1.0, 2.0]])
+        s = make_panel(make_series("s", [[1.0, 2.0]])).subjects[0]
         with pytest.raises(ValueError):
             s.observations[0, 0] = 9.0
 

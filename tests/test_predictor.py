@@ -117,14 +117,13 @@ class TestIndexTrajectory:
         assert traj.monotonicity_violations == 1
 
     def test_last_visit_matches_prediction_record(self):
-        """The trajectory's gemv and row norms agree with the per-subject
-        record of the terminal visit up to the last bits."""
+        """The trajectory's last mean and std are the record's index_mean
+        and index_std, bit for bit."""
         panel, _ = simulate(SimConfig(d=90, seed=3))
         post = WeightPosterior(np.random.default_rng(3).normal(size=90))
         for s, rec in zip(panel.subjects, predict_panel(post, panel)):
             traj = index_trajectory(post, s)
-            assert traj.means[-1] == pytest.approx(rec.index_mean, rel=1e-12)
-            assert traj.stds[-1] == pytest.approx(rec.index_std, rel=1e-12)
+            assert (traj.means[-1], traj.stds[-1]) == (rec.index_mean, rec.index_std)
 
 
 class TestRejectByThreshold:
@@ -207,7 +206,7 @@ class TestRejectByRate:
 class TestPredictPanel:
     def test_zero_terminal_visit_gets_tie_label_and_least_confidence(self):
         post = WeightPosterior(np.array([1.0, -0.5]))
-        panel = LongitudinalPanel(
+        panel = LongitudinalPanel.from_subjects(
             (
                 series([[1.0, 0.0], [2.0, 1.0]], sid="a"),
                 series([[1.0, 1.0], [0.0, 0.0]], sid="b"),
@@ -228,7 +227,7 @@ class TestPredictPanel:
         for _ in range(20):
             d = int(rng.integers(1, 40))
             post = WeightPosterior(rng.normal(size=d))
-            panel = LongitudinalPanel(
+            panel = LongitudinalPanel.from_subjects(
                 tuple(
                     series(rng.normal(size=(int(rng.integers(1, 5)), d)), sid=f"s{i}")
                     for i in range(8)
@@ -243,7 +242,7 @@ class TestPredictPanel:
                 assert r.confidence == confidence(post, x)
 
     def test_dimension_mismatch_names_both(self):
-        panel = LongitudinalPanel((series([[1.0, 2.0]]),))
+        panel = LongitudinalPanel.from_subjects((series([[1.0, 2.0]]),))
         with pytest.raises(DimensionMismatch, match="panel has d=2, posterior has d=3"):
             predict_panel(WeightPosterior(np.ones(3)), panel)
 
@@ -251,7 +250,7 @@ class TestPredictPanel:
 class TestPredictionCsv:
     def test_round_trip_with_rejection_labels(self, tmp_path):
         post = WeightPosterior(np.array([1.0, -0.5]))
-        panel = LongitudinalPanel(
+        panel = LongitudinalPanel.from_subjects(
             (
                 series([[1.0, 0.0], [2.0, 1.0]], sid="a", label=1),
                 series([[-3.0, 0.5]], sid="b", label=-1),

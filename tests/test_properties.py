@@ -1,5 +1,6 @@
-"""Property-based tests: panel CSV round trips, nested rate rejection and
-config values at the edges."""
+"""Property-based tests: panel CSV round trips, the flat panel layers
+against their per-subject references, nested rate rejection and config
+values at the edges."""
 
 import copy
 import csv
@@ -10,16 +11,30 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import (
+    Series,
+    aggregates_per_subject,
+    chi_design_per_subject,
+    split_and_mask_per_subject,
+    standardize_per_subject,
+    validate_subjects,
+)
 
-from healthindex.chi_baseline import ChiHyperparams
+from healthindex.chi_baseline import ChiHyperparams, _build_design
 from healthindex.harness import ExperimentSpec, run_pipeline
 from healthindex.panel import (
     LongitudinalPanel,
     SubjectSeries,
+    aggregates,
+    apply_standardization,
+    fit_standardization,
     load_observed_labels,
     load_panel,
+    split_and_mask,
     write_panel,
 )
 from healthindex.predictor import PredictionRecord, reject_by_rate
@@ -53,7 +68,7 @@ def panels(draw):
         )
         label = draw(st.sampled_from([1, -1, None]))
         subjects.append(SubjectSeries(sid, np.array(times), np.array(rows), label))
-    return LongitudinalPanel(tuple(subjects))
+    return LongitudinalPanel.from_subjects(tuple(subjects))
 
 
 def csv_writer_bytes(panel):
@@ -84,6 +99,106 @@ def test_csv_write_load_write_is_byte_stable(panel):
         assert got.label == want.label
         np.testing.assert_array_equal(got.times, want.times)
         assert got.observations.tobytes() == want.observations.tobytes()
+
+
+@st.composite
+def subject_lists(draw, min_subjects=1):
+    """Subjects of one d with 1-7 visits at increasing times, signed values
+    and some labels missing."""
+    d = draw(st.integers(1, 4))
+    subjects = []
+    for j in range(draw(st.integers(min_subjects, 8))):
+        n_visits = draw(st.integers(1, 7))
+        times = sorted(draw(st.sets(st.integers(-5, 40), min_size=n_visits, max_size=n_visits)))
+        rows = draw(arrays(float, (n_visits, d), elements=st.floats(-1e3, 1e3)))
+        label = draw(st.sampled_from([1, -1, None]))
+        subjects.append(Series(f"s{j}", np.array(times), rows, label))
+    return subjects
+
+
+def assert_same_panel(panel, subjects):
+    assert panel.subject_ids == tuple(s.subject_id for s in subjects)
+    assert panel.labels.tolist() == [s.label or 0 for s in subjects]
+    assert panel.times.tolist() == [int(t) for s in subjects for t in s.times]
+    assert panel.observations.tobytes() == np.vstack([s.observations for s in subjects]).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(subject_lists(), st.floats(0.05, 0.95), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_flat_layers_match_the_per_subject_reference(
+    subjects, train_fraction, unlabeled_fraction, seed
+):
+    panel = LongitudinalPanel.from_subjects(subjects)
+    assert_same_panel(panel, subjects)
+    assert aggregates(panel).tobytes() == aggregates_per_subject(subjects).tobytes()
+
+    mean, scale, transformed = standardize_per_subject(subjects)
+    fitted = fit_standardization(panel)
+    assert fitted.mean.tobytes() == mean.tobytes()
+    assert fitted.scale.tobytes() == scale.tobytes()
+    applied = apply_standardization(panel, fitted)
+    assert applied.observations.tobytes() == np.vstack(transformed).tobytes()
+
+    hyper = ChiHyperparams()
+    design = _build_design(panel, hyper)
+    reference = chi_design_per_subject(subjects, hyper)
+    for got, want in zip((design.rows, design.weights, design.quad), reference):
+        assert got.tobytes() == want.tobytes()
+
+    try:
+        sides = split_and_mask_per_subject(subjects, train_fraction, unlabeled_fraction, seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            split_and_mask(panel, train_fraction, unlabeled_fraction, seed)
+        return
+    for side, want in zip(split_and_mask(panel, train_fraction, unlabeled_fraction, seed), sides):
+        assert_same_panel(side, want)
+
+
+FAULTS = ("non-increasing times", "non-finite cell", "mixed d", "duplicate id", "no visit")
+
+
+@st.composite
+def faulty_subject_lists(draw):
+    """Valid subjects with one or two faults put into them; a mixed d comes
+    alone, since the per-subject checks run before the d check."""
+    subjects = draw(subject_lists(min_subjects=2))
+    faults = draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=2))
+    for fault in ["mixed d"] if "mixed d" in faults else sorted(faults, key=FAULTS.index):
+        j = draw(st.integers(0, len(subjects) - 1))
+        sid, times, obs, label = subjects[j]
+        if fault == "non-increasing times":
+            times = np.append(times, times[-1] - draw(st.integers(0, 3)))
+            obs = np.vstack([obs, obs[-1:]])
+        elif fault == "non-finite cell":
+            obs = obs.copy()
+            cell = draw(st.integers(0, len(obs) - 1)), draw(st.integers(0, obs.shape[1] - 1))
+            obs[cell] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif fault == "mixed d":
+            obs = np.hstack([obs, obs[:, :1]])
+        elif fault == "duplicate id":
+            other = draw(st.integers(0, len(subjects) - 2))
+            sid = subjects[other + (other >= j)].subject_id
+        else:
+            times, obs = times[:0], obs[:0]
+        subjects[j] = Series(sid, times, obs, label)
+    return subjects
+
+
+def raised(build):
+    try:
+        build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(faulty_subject_lists())
+def test_flat_panel_refuses_what_the_per_subject_checks_refuse(subjects):
+    want = raised(lambda: validate_subjects(subjects))
+    assert want is not None
+    assert raised(lambda: LongitudinalPanel.from_subjects(subjects)) == want
 
 
 @PROPERTY_SETTINGS
