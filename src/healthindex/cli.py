@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import chi_baseline, harness, med_core, predictor
 from .chi_baseline import ChiHyperparams
-from .errors import DimensionMismatch, NonConvergence, NonFiniteObjective
+from .errors import GE_ZERO, GT_ZERO, DimensionMismatch, NonConvergence, NonFiniteObjective, Range
 from .panel import (
     Standardization,
     apply_standardization,
@@ -85,6 +85,15 @@ def _add_train_parser(subparsers):
 
 
 def _cmd_train(args) -> int:
+    # the method's flags, checked as its code checks them, before the panel is read
+    if args.method == "uqchi":
+        GT_ZERO.check("margin prior rate c", args.c)
+        GT_ZERO.check("tol", args.tol)
+        GE_ZERO.check("max_iter", args.max_iter)
+    else:
+        hyper = ChiHyperparams(**_fields_given(ChiHyperparams, args))
+        Range(1).check("steps", args.steps)
+        GT_ZERO.check("step_size", args.step_size)
     panel = load_panel(args.panel)
     if args.no_standardize:
         standardization = Standardization.identity(panel.d)
@@ -105,7 +114,6 @@ def _cmd_train(args) -> int:
             f"iterations={solution.iterations}, objective={solution.objective:.6g}"
         )
     else:
-        hyper = ChiHyperparams(**_fields_given(ChiHyperparams, args))
         model = chi_baseline.chi_train(
             train_panel, hyper, steps=args.steps, step_size=args.step_size
         )
@@ -132,6 +140,10 @@ def _add_predict_parser(subparsers):
 
 
 def _cmd_predict(args) -> int:
+    if args.reject_rate is not None:
+        predictor.RATES.check("rate", args.reject_rate)
+    if args.reject_threshold is not None:
+        predictor.THRESHOLDS.check("threshold", args.reject_threshold)
     payload = med_core.load_model(args.model)
     kind = payload.get("model")
     if kind == "med":
@@ -147,16 +159,11 @@ def _cmd_predict(args) -> int:
         raise DimensionMismatch(
             f"model {args.model} has d={model.d}, panel {args.panel} has d={panel.d}"
         )
-    standardization = (
-        Standardization.from_dict(payload["standardization"])
-        if payload.get("standardization")
-        else Standardization.identity(panel.d)
-    )
-    scored = (
-        panel
-        if standardization.is_identity
-        else apply_standardization(panel, standardization)
-    )
+    scored = panel
+    if payload.get("standardization"):
+        standardization = Standardization.from_dict(payload["standardization"])
+        if not standardization.is_identity:
+            scored = apply_standardization(panel, standardization)
 
     if kind == "med":
         records = predictor.predict_panel(model, scored)
@@ -226,11 +233,10 @@ def _cmd_sweep(args) -> int:
         overrides["panel_csv"] = args.panel
         overrides["sim"] = None
     if args.degradation_rate is not None:
-        if spec.sim is None:
+        sim = overrides.get("sim", spec.sim)
+        if sim is None:
             raise ValueError("--degradation-rate needs a simulation data source")
-        overrides["sim"] = dataclasses.replace(
-            spec.sim, degradation_rate=args.degradation_rate
-        )
+        overrides["sim"] = dataclasses.replace(sim, degradation_rate=args.degradation_rate)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
 

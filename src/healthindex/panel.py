@@ -304,15 +304,16 @@ def save_standardization(standardization: Standardization, path) -> None:
 
 
 # np.loadtxt settings for the panel CSV dialect: csv.writer's quoting, and no
-# comment character, since a subject id may start with "#"
-_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
+# comment character, since a subject id may start with "#"; records come back
+# in a 1-d structured array
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
 
 
 @dataclass(frozen=True)
 class _Layout:
     """Where a panel CSV keeps its columns, read from its header record."""
 
-    header: list[str]  # the header cells as written
+    width: int  # cells in the header record
     header_lines: int  # physical lines the header record spans
     keys: tuple[int, int, int]  # subject_id, t and label column indices
     features: list[int]  # feature column indices, in header order
@@ -334,24 +335,19 @@ def _layout(path) -> _Layout:
     if not features:
         raise PanelFormatError(f"{path}: no feature columns")
     keys = tuple(names.index(col) for col in _RESERVED_COLUMNS)
-    return _Layout(header, header_lines, keys, features)
+    return _Layout(len(header), header_lines, keys, features)
 
 
-def _loadtxt(path, layout: _Layout, dtype, usecols) -> np.ndarray:
-    """One column-wise pass over the data rows; raises ValueError on a row
-    loadtxt cannot read. loadtxt would open a path with newline translation,
-    which turns a CR inside a quoted cell into LF; the file is opened as
+def _loadtxt(path, layout: _Layout, dtype, usecols=None) -> np.ndarray:
+    """One pass over the data rows; raises ValueError on a row loadtxt
+    cannot read. loadtxt would open a path with newline translation, which
+    turns a CR inside a quoted cell into LF; the file is opened as
     csv.reader needs it instead."""
     with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a file without data rows
         return np.loadtxt(
             fh, dtype=dtype, usecols=usecols, skiprows=layout.header_lines, **_LOADTXT
         )
-
-
-def _count_commas(path) -> int:
-    with open(path, "rb") as fh:
-        return sum(chunk.count(b",") for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
 def _parse_label(token: str, subject_id: str) -> int | None:
@@ -389,29 +385,22 @@ def _subject_labels(sids, labels) -> dict[str, int | None]:
 
 
 def _column_rows(path, layout: _Layout):
-    """((id, time) pairs, labels, features) of every data row, each column
-    parsed whole by np.loadtxt; None when the file needs ``_scanned_rows``:
-    a cell loadtxt or a key check refuses, or a row with more cells than the
-    header. The key cells are read as Python str objects (dtype=object): a
-    numpy str array would drop a trailing NUL.
-
-    The two passes read every column, so loadtxt refuses a row narrower
-    than the header; the file's commas then show that none is wider. A
-    feature cell holds no comma (no float does), so the only commas besides
-    the separators are those inside header and key cells.
+    """((id, time) pairs, labels, features) of every data row, read in one
+    np.loadtxt pass over every column; None when the file needs
+    ``_scanned_rows``: a cell loadtxt or a key check refuses, or a row whose
+    cell count differs from the header's. The key cells are read as Python
+    str objects (dtype=object): a numpy str array would drop a trailing NUL.
     """
+    dtype = [("", object if i in layout.keys else float) for i in range(layout.width)]
     try:
-        rows = _loadtxt(path, layout, object, layout.keys).tolist()
-        features = _loadtxt(path, layout, float, layout.features)
-        keys = [_parse_id_and_time(path, None, sid, t) for sid, t, _ in rows]
-        labels = [_parse_label(row[2], sid) for row, (sid, _) in zip(rows, keys)]
+        rows = _loadtxt(path, layout, dtype)
+        columns = [rows[name] for name in rows.dtype.names]
+        sids, times, tokens = (columns[i].tolist() for i in layout.keys)
+        keys = [_parse_id_and_time(path, None, sid, t) for sid, t in zip(sids, times)]
+        labels = [_parse_label(token, sid) for token, (sid, _) in zip(tokens, keys)]
     except ValueError:
         return None
-    separators = (len(layout.header) - 1) * (len(keys) + 1)
-    quoted = sum(cell.count(",") for cells in [layout.header, *rows] for cell in cells)
-    if _count_commas(path) != separators + quoted:
-        return None
-    return keys, labels, features
+    return keys, labels, np.stack([columns[i] for i in layout.features], axis=1)
 
 
 def _scanned_rows(path, layout: _Layout):
@@ -419,7 +408,6 @@ def _scanned_rows(path, layout: _Layout):
     and float(): skips rows of blank cells, reads every number float() reads,
     and names the line of the first bad row."""
     keys, labels, features = [], [], []
-    width = len(layout.header)
     sid_i, t_i, label_i = layout.keys
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -427,9 +415,9 @@ def _scanned_rows(path, layout: _Layout):
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) != width:
+            if len(row) != layout.width:
                 raise DimensionMismatch(
-                    f"{path}:{row_no}: expected {width} cells, got {len(row)}"
+                    f"{path}:{row_no}: expected {layout.width} cells, got {len(row)}"
                 )
             keys.append(_parse_id_and_time(path, row_no, row[sid_i], row[t_i]))
             try:
@@ -460,7 +448,7 @@ def load_panel(path) -> LongitudinalPanel:
     non-finite features and ragged rows are rejected; a bad row's error
     names its line.
 
-    The columns are parsed whole with np.loadtxt. A file that needs more
+    Every column is parsed in one np.loadtxt pass. A file that needs more
     (rows of blank cells, a number such as ``1_0`` that float() reads and
     loadtxt does not, or any bad row) is read again row by row, which gives
     the same panel or the row's error.
@@ -502,7 +490,7 @@ def load_observed_labels(path) -> dict[str, int]:
     layout = _layout(path)
     sid_i, _, label_i = layout.keys
     try:
-        cells = _loadtxt(path, layout, object, (sid_i, label_i)).tolist()
+        cells = _loadtxt(path, layout, [("", object)] * 2, (sid_i, label_i)).tolist()
     except ValueError:
         cells = []
     sids = [sid.strip() for sid, _ in cells]

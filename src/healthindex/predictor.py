@@ -20,6 +20,9 @@ from .med_core import WeightPosterior
 from .panel import LongitudinalPanel, SubjectSeries
 
 REJECTED_LABEL = 0
+# the rejection thresholds and rates reject_by_threshold and reject_by_rate take
+THRESHOLDS = Range(0.5, 1.0)
+RATES = Range(0.0, 1.0, open_high=True)
 
 PREDICTION_COLUMNS = (
     "subject_id",
@@ -142,7 +145,7 @@ def reject_by_threshold(
     records: Sequence[PredictionRecord], threshold: float
 ) -> list[PredictionRecord]:
     """Abstain exactly on records with confidence below the threshold."""
-    Range(0.5, 1.0).check("threshold", threshold)
+    THRESHOLDS.check("threshold", threshold)
     return [replace(r, abstained=r.confidence < threshold) for r in records]
 
 
@@ -154,7 +157,7 @@ def reject_by_rate(
     Ties break by input position (stable sort), so growing the rate always
     grows the abstention set.
     """
-    Range(0.0, 1.0, open_high=True).check("rate", rate)
+    RATES.check("rate", rate)
     if not records:
         raise ValueError("need at least one record")
     n_reject = int(math.floor(rate * len(records)))

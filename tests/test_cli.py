@@ -191,6 +191,72 @@ class TestTrainPredictEvaluate:
         assert named in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["train", "--c", "nan"], "margin prior rate c must be finite and positive, got nan"),
+            (["train", "--tol", "0"], "tol must be finite and positive, got 0.0"),
+            (["train", "--max-iter", -1], "max_iter must be non-negative, got -1"),
+            (["train", "--method", "chi", "--steps", 0], "steps must be >= 1, got 0"),
+            (["train", "--method", "chi", "--step-size", "nan"],
+             "step_size must be finite and positive, got nan"),
+            (["train", "--method", "chi", "--alpha", -1], "alpha must be finite and non-negative"),
+            (["predict", "--model", "nope.json", "--reject-rate", 1.5],
+             "rate must be finite and in [0, 1), got 1.5"),
+            (["predict", "--model", "nope.json", "--reject-threshold", 0.3],
+             "threshold must be finite and in [0.5, 1], got 0.3"),
+        ],
+    )
+    def test_bad_flag_is_named_before_any_file_is_read(
+        self, tmp_path, monkeypatch, capsys, flags, named
+    ):
+        """The panel and model files do not exist; the flag is named, not them."""
+        monkeypatch.chdir(tmp_path)
+        assert run(flags + ["--panel", "nope.csv", "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "nope" not in err
+
+    def test_reject_threshold_abstains_below_it(self, tmp_path):
+        panel = simulate_panel(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--panel", panel, "--out", model]) == 0
+        preds = tmp_path / "preds.csv"
+        assert run(
+            ["predict", "--model", model, "--panel", panel, "--out", preds,
+             "--reject-threshold", 0.6]
+        ) == 0
+        rows = [line.split(",") for line in preds.read_text().splitlines()[1:]]
+        assert len(rows) == 24
+        assert [row[6] for row in rows] == [str(int(float(row[5]) < 0.6)) for row in rows]
+        assert {row[6] for row in rows} == {"0", "1"}
+
+    def test_unknown_model_kind_exits_2(self, tmp_path, capsys):
+        panel = simulate_panel(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--panel", panel, "--out", model]) == 0
+        payload = json.loads(model.read_text())
+        payload["model"] = "svm"
+        model.write_text(json.dumps(payload))
+        preds = tmp_path / "preds.csv"
+        assert run(["predict", "--model", model, "--panel", panel, "--out", preds]) == 2
+        assert "unknown model kind 'svm'" in capsys.readouterr().err
+        assert not preds.exists()
+
+    def test_evaluate_out_writes_the_printed_report(self, tmp_path, capsys):
+        panel = simulate_panel(tmp_path)
+        model = tmp_path / "m.json"
+        preds = tmp_path / "p.csv"
+        run(["train", "--panel", panel, "--out", model])
+        run(["predict", "--model", model, "--panel", panel, "--out", preds])
+        capsys.readouterr()
+        assert run(["evaluate", "--predictions", preds, "--truth", panel]) == 0
+        printed = capsys.readouterr().out
+        report = tmp_path / "report.json"
+        assert run(["evaluate", "--predictions", preds, "--truth", panel, "--out", report]) == 0
+        assert capsys.readouterr().out == ""
+        assert report.read_text() == printed
+
     @pytest.mark.parametrize("method", ["uqchi", "chi"])
     @pytest.mark.parametrize("standardize", [True, False])
     def test_model_dimension_mismatch_exits_2(self, tmp_path, capsys, method, standardize):
@@ -297,6 +363,33 @@ class TestSweep:
         lines = (out / "results.csv").read_text().splitlines()
         assert lines[0].startswith("method,label_ratio,train_ratio")
         assert len(lines) == 2
+
+    def test_panel_source(self, tmp_path):
+        panel = simulate_panel(tmp_path)
+        out = tmp_path / "out"
+        code = run(
+            ["sweep", "--out-dir", out, "--panel", panel, "--n-seeds", 1,
+             "--train-ratios", "0.6", "--label-ratios", "0.2", "--rejection-rates", "0.2",
+             "--c-policy", "fixed", "--fixed-c", "1.5", "--baselines", "uqchi"]
+        )
+        assert code == 0
+        spec_echo = json.loads((out / "spec.json").read_text())
+        assert spec_echo["panel_csv"] == str(panel)
+        assert spec_echo["sim"] is None
+        assert len((out / "results.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_panel_source_refuses_degradation_rate(self, tmp_path, capsys, source):
+        args = ["sweep", "--out-dir", tmp_path / "out", "--degradation-rate", 0.5]
+        if source == "flag":
+            args += ["--panel", tmp_path / "p.csv"]
+        else:
+            config = tmp_path / "spec.json"
+            config.write_text(json.dumps({"sim": None, "panel_csv": str(tmp_path / "p.csv")}))
+            args += ["--config", config]
+        assert run(args) == 2
+        assert "--degradation-rate needs a simulation data source" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         config = tmp_path / "bad.json"

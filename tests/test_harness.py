@@ -116,6 +116,10 @@ class TestCrossValidateC:
         panel = self.build_panel()
         assert cross_validate_c(panel, [5.0], folds=3, seed=0) == 5.0
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty c grid"):
+            cross_validate_c(self.build_panel(), [], folds=3, seed=0)
+
     def test_tie_breaks_to_smaller_c(self):
         # a panel with no labels scores every c identically (no folds at all)
         subjects = tuple(

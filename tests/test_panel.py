@@ -229,6 +229,101 @@ class TestCsvLoading:
         assert first.read_bytes() == second.read_bytes()
 
 
+_HEAD = "subject_id,t,label,f1,f2\n"
+
+
+# (file text, load_panel's (ids, offsets, times, observations, labels) or its
+# (error class, message), load_observed_labels' dict or its (error class, message))
+_EDGE_FILES = {
+    "empty file": ("", (PanelFormatError, "empty file"), (PanelFormatError, "empty file")),
+    "header without data rows": (
+        _HEAD, (PanelFormatError, "no data rows"), (PanelFormatError, "no data rows")
+    ),
+    "header without line end": (
+        _HEAD[:-1], (PanelFormatError, "no data rows"), (PanelFormatError, "no data rows")
+    ),
+    "header and blank rows only": (
+        _HEAD + "\n  \n,,,,\n", (PanelFormatError, "no data rows"),
+        (PanelFormatError, "no data rows"),
+    ),
+    "missing reserved column": (
+        "subject_id,label,f1\na,1,0.0\n", (PanelFormatError, "missing column 't'"),
+        (PanelFormatError, "missing column 't'"),
+    ),
+    "no feature columns": (
+        "label,t,subject_id\n1,1,a\n", (PanelFormatError, "no feature columns"),
+        (PanelFormatError, "no feature columns"),
+    ),
+    "non-integer time": (
+        _HEAD + "a,1,1,0.0,1.0\na,1.5,1,0.0,1.0\n",
+        (PanelFormatError, r"panel\.csv:3: non-integer time index '1\.5'"), {"a": 1},
+    ),
+    "last row without line end": (
+        _HEAD + "a,1,1,0.0,1.0\na,2,1,0.5,1.5",
+        (("a",), [0, 2], [1, 2], [[0.0, 1.0], [0.5, 1.5]], [1]), {"a": 1},
+    ),
+    "trailing comma on the data rows": (
+        _HEAD + "a,1,1,0.0,1.0,\na,2,1,0.5,1.5,\n",
+        (DimensionMismatch, r"panel\.csv:2: expected 5 cells, got 6"), {"a": 1},
+    ),
+    "trailing comma on every row": (
+        _HEAD[:-1] + ",\na,1,1,0.0,1.0,\na,2,1,0.5,1.5,\n",
+        (PanelFormatError, r"panel\.csv:2: non-numeric feature value"), {"a": 1},
+    ),
+    "wide row with a quoted comma": (
+        _HEAD + 'a,1,1,0.0,1.0\n"s,t",1,1,0.0,1.0,"2,0"\n',
+        (DimensionMismatch, r"panel\.csv:3: expected 5 cells, got 6"), {"a": 1, "s,t": 1},
+    ),
+    "quoted features": (
+        _HEAD + 'a,1,1,"0.5","1.5"\na,2,-1,"2.5",3.5\n',
+        (ConflictingLabels, "subject a: conflicting labels"),
+        (ConflictingLabels, "subject a: conflicting labels"),
+    ),
+    "quoted features, one label": (
+        _HEAD + 'a,2,,"2.5",3.5\na,1,1,"0.5","1.5"\n',
+        (("a",), [0, 2], [1, 2], [[0.5, 1.5], [2.5, 3.5]], [1]), {"a": 1},
+    ),
+    "header cell with a quoted comma": (
+        'subject_id,t,label,"f,1",f2\na,1,1,0.0,1.0\n"x,y",1,-1,2.0,3.0\n',
+        (("a", "x,y"), [0, 1, 2], [1, 1], [[0.0, 1.0], [2.0, 3.0]], [1, -1]),
+        {"a": 1, "x,y": -1},
+    ),
+    "id with a line feed": (
+        _HEAD + '"i\nj",1,1,0.0,1.0\n', (("i\nj",), [0, 1], [1], [[0.0, 1.0]], [1]),
+        {"i\nj": 1},
+    ),
+    "id with a trailing carriage return": (
+        _HEAD + '"h\r",1,1,0.0,1.0\nh,1,-1,0.0,1.0\n',
+        (ConflictingLabels, "subject h: conflicting labels"),
+        (ConflictingLabels, "subject h: conflicting labels"),
+    ),
+    "reserved columns between features": (
+        "f1,subject_id,f2,t,f3,label\n1,a,2,1,3,1\n4,a,5,2,6,\n",
+        (("a",), [0, 2], [1, 2], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1]), {"a": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("text,panel,labels", _EDGE_FILES.values(), ids=list(_EDGE_FILES))
+def test_edge_files(tmp_path, text, panel, labels):
+    """Each reader gives the stated panel or labels, or the stated error."""
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode())
+    if isinstance(panel[0], type):
+        with pytest.raises(panel[0], match=panel[1]):
+            load_panel(path)
+    else:
+        got = load_panel(path)
+        assert got.subject_ids == panel[0]
+        for name, want in zip(("offsets", "times", "observations", "labels"), panel[1:]):
+            np.testing.assert_array_equal(getattr(got, name), want)
+    if isinstance(labels, tuple):
+        with pytest.raises(labels[0], match=labels[1]):
+            load_observed_labels(path)
+    else:
+        assert load_observed_labels(path) == labels
+
+
 class TestSeriesValidation:
     def test_times_must_increase(self):
         with pytest.raises(PanelFormatError):
