@@ -21,7 +21,7 @@ import numpy as np
 from . import med_core, predictor
 from .chi_baseline import ChiHyperparams, chi_predict_panel, chi_train
 from .errors import GE_ZERO, GT_ZERO, Config, Range
-from .med_core import DualProblem, DualSolution, WeightPosterior, solve_dual
+from .med_core import DualProblem, DualSolution, WeightPosterior, solve_dual, solve_folds
 from .panel import (
     LongitudinalPanel,
     aggregates,
@@ -141,15 +141,18 @@ def cross_validate_c(
     single holdout (with a warning), and with fewer than two it just returns
     the smallest candidate.
 
-    The loop is fold-major. A subject's aggregate row depends on neither the
-    fold nor c, so the aggregate matrix is built once and each fold trains
-    on a row slice of it. Within a fold the grid is solved in increasing c,
-    each solve warm-started from the previous optimum scaled by
-    (1 - 1/c) / (1 - 1/c_prev): stationarity 1 - 1/(c - lam_n) = a_n . v
-    makes lam proportional to 1 - 1/c when lam << c. A previous c <= 1 gives
-    no usable scale, so that solve starts cold. A fold scores the sign of
-    the posterior-mean index at each held-out terminal visit, ties to +1 as
-    in ``predictor.predict``.
+    The loop is c-major over a batch of folds. A subject's aggregate row
+    depends on neither the fold nor c, so the aggregate matrix is built once
+    and fold f trains on the rows its keep mask leaves in. The grid is solved
+    in increasing c, each c by one ``solve_folds`` call: the folds with more
+    training subjects than features share one batched potential presolve,
+    then each fold's lambda-space loop certifies its own solution. Each fold
+    is warm-started from its previous optimum scaled by (1 - 1/c) /
+    (1 - 1/c_prev): stationarity 1 - 1/(c - lam_n) = a_n . v makes lam
+    proportional to 1 - 1/c when lam << c. A previous c <= 1 gives no usable
+    scale, so that c starts cold. A fold scores the sign of the
+    posterior-mean index at each held-out terminal visit, ties to +1 as in
+    ``predictor.predict``.
     """
     Range(2).check("folds", folds)
     grid = sorted(set(float(c) for c in c_grid))
@@ -163,30 +166,25 @@ def cross_validate_c(
 
     matrix = aggregates(train_panel)
     terminals = train_panel.terminals
-    scores = [[] for _ in grid]
-    for heldout_rows in _fold_sets(labeled, folds, seed):
-        heldout = np.zeros(len(labels), dtype=bool)
-        heldout[heldout_rows] = True
-        fold_matrix = matrix[~heldout]
-        x_eval, y_eval = terminals[heldout], labels[heldout]
-        lam = c_prev = None
-        for fold_scores, c in zip(scores, grid):
-            start = None
-            if lam is not None and c_prev > 1.0:
-                start = lam * ((1.0 - 1.0 / c) / (1.0 - 1.0 / c_prev))
-            problem = DualProblem(fold_matrix, c)
-            solution = solve_dual(problem, tol=tol, max_iter=max_iter, start=start)
+    heldouts = _fold_sets(labeled, folds, seed)
+    keep = np.ones((len(heldouts), len(labels)), dtype=bool)
+    for rows, heldout_rows in zip(keep, heldouts):
+        rows[heldout_rows] = False
+    scores = []
+    lams = c_prev = None
+    for c in grid:
+        starts = None
+        if lams is not None and c_prev > 1.0:
+            starts = [lam * ((1.0 - 1.0 / c) / (1.0 - 1.0 / c_prev)) for lam in lams]
+        solved = solve_folds(DualProblem(matrix, c), keep, starts, tol=tol, max_iter=max_iter)
+        fold_scores = []
+        for (problem, solution), rows in zip(solved, keep):
             mean = med_core.posterior(solution, problem).mean
-            predicted = np.where(x_eval @ mean >= 0.0, 1, -1)
-            fold_scores.append(float(np.mean(predicted == y_eval)))
-            lam, c_prev = solution.lam, c
-
-    best_c, best_score = None, -np.inf
-    for c, fold_scores in zip(grid, scores):
-        mean_score = float(np.mean(fold_scores))
-        if mean_score > best_score:
-            best_c, best_score = c, mean_score
-    return best_c
+            predicted = np.where(terminals[~rows] @ mean >= 0.0, 1, -1)
+            fold_scores.append(float(np.mean(predicted == labels[~rows])))
+        scores.append(float(np.mean(fold_scores)))
+        lams, c_prev = [solution.lam for _, solution in solved], c
+    return grid[int(np.argmax(scores))]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ optimum is unique and certified by the projected-gradient KKT conditions.
 The solver runs one projected Newton loop over lam: one Newton system per
 step on a diagonally scaled epsilon-active set, and an Armijo search along
 the projection arc; it is warm-started from an equivalent d-dimensional
-strongly convex problem when N > d, or from a caller's multipliers.
+strongly convex problem when N > d, or from a caller's multipliers. The
+cross-validation folds of one c solve that d-dimensional problem as one
+batch (``solve_folds``).
 The weight posterior under a standard normal prior is N(v(lam*), I).
 """
 
@@ -44,6 +46,10 @@ DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
 ARMIJO_SIGMA = 1e-4
 MAX_HALVINGS = 40  # of the step, before a line search gives up
+# the presolve's ray search stops once |F'| along the ray is this share of the
+# Newton decrement, or after this many root-finding rounds
+RAY_TOL = 0.1
+RAY_ROUNDS = 8
 # the potential presolve stops once its Newton decrement is this many ulps of F
 DECREMENT_ULPS = 64
 
@@ -176,10 +182,12 @@ def projected_gradient(lam: np.ndarray, grad: np.ndarray, upper: float) -> np.nd
     return pg
 
 
-def _presolve_potential(
-    problem: DualProblem, v0: np.ndarray | None = None, max_iter: int = 150
+def _presolve_folds(
+    aggs: np.ndarray, keep: np.ndarray, c: float, v0: np.ndarray, max_iter: int = 150
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Warm-start multipliers from the d-dimensional potential problem.
+    """Warm-start multipliers from the d-dimensional potential problem of F
+    folds at once: fold f keeps the rows of ``aggs`` (N, d) where ``keep[f]``
+    is True and starts Newton at ``v0[f]``.
 
     Eliminating lambda coordinate-wise turns the dual into an unconstrained
     strongly convex problem in the potential vector v:
@@ -189,59 +197,129 @@ def _presolve_potential(
     where phi(t) is the per-subject maximum of lam + log(1 - lam/c) - lam*t
     over the box, with maximizer lam*(t) = clip(c - 1/(1 - t)). Newton on F
     has Hessian H = I + A^T W A (eigenvalues >= 1), so it is immune to the
-    Gram conditioning that slows lambda-space ascent when N > d. Newton
-    starts from ``v0`` when given, else from v = 0.
+    Gram conditioning that slows lambda-space ascent when N > d. A held-out
+    row has lam = 0 and curvature weight 0, so it drops out of its fold's F.
+    Each Newton step forms the moving folds' Hessians with one batched
+    product and solves them with one batched solve.
 
-    Newton stops on its decrement (Boyd & Vandenberghe, Convex Optimization,
-    sec. 9.5.1): once grad . H^-1 grad <= DECREMENT_ULPS * eps * max(1, |F|),
-    a full step would lower F by about half that, below F's float
-    resolution, so no line search could tell it apart from rounding. It
-    also stops at an exactly zero gradient, or when MAX_HALVINGS step
-    halvings find no decrease. Returns the last accepted v and lam*(A v),
+    The step length comes from a ray search (Keerthi & DeCoste, "A modified
+    finite Newton method for fast solution of large scale linear SVMs",
+    JMLR 6, 2005): with q = A p, the point v - s p has t(s) = t - s q, so the
+    derivative of F along the ray, g(s) = s p.p - p.v + lam*(t(s)) . q, costs
+    N-vector work only. g rises from g(0) = -decrement; s = 1 is taken when
+    g(1) is at most RAY_TOL times the decrement, else up to RAY_ROUNDS
+    safeguarded secant steps (regula falsi, Illinois variant) on g's bracket
+    in [0, 1] look for |g(s)| <= RAY_TOL * decrement, and failing that the
+    bracket's upper end is taken. The point is accepted on a strict decrease
+    of F; if F does not fall, the step halves, up to MAX_HALVINGS times.
+
+    Each fold stops on its Newton decrement (Boyd & Vandenberghe, Convex
+    Optimization, sec. 9.5.1): once grad . H^-1 grad <= DECREMENT_ULPS * eps
+    * max(1, |F|), a full step would lower F by about half that, below F's
+    float resolution, so no line search could tell it apart from rounding.
+    A fold also stops at an exactly zero gradient, when every halving fails,
+    or after ``max_iter`` steps; a fold that stopped does not move. Returns
+    the last accepted v (F, d) and lam*(A v) (F, N), zero on held-out rows,
     from the same evaluation that accepted v; the lambda-space loop of
     ``solve_dual`` certifies the multipliers.
     """
-    aggs = problem.aggregates
-    c = problem.c
-    upper = problem.box_upper
+    upper = c * (1.0 - BOX_MARGIN)
     knee = 1.0 - 1.0 / c
     floor = DECREMENT_ULPS * np.finfo(float).eps
+    diagonal = np.arange(aggs.shape[1])
 
-    def evaluate(v):
-        """F(v), t = A v and lam*(t)."""
-        t = aggs @ v
-        lam = np.clip(np.where(t < knee, c - 1.0 / (1.0 - t), 0.0), 0.0, upper)
+    def multipliers(t, kept):
+        return np.clip(np.where(kept & (t < knee), c - 1.0 / (1.0 - t), 0.0), 0.0, upper)
+
+    def evaluate(v, folds):
+        """F, t = A v and lam*(t) of ``folds`` at their points v."""
+        t = v @ aggs.T
+        lam = multipliers(t, keep[folds])
         barrier = np.where(lam > 0.0, lam + np.log1p(-lam / c), 0.0)
-        return 0.5 * float(v @ v) + float(np.sum(barrier - lam * t)), t, lam
+        return 0.5 * np.sum(v * v, axis=1) + np.sum(barrier - lam * t, axis=1), t, lam
 
-    v = np.zeros(aggs.shape[1]) if v0 is None else np.array(v0, dtype=float)
+    def ray_search(kept, v, t, step_dir, decrement):
+        """Step length in (0, 1] along -step_dir for each fold."""
+        q = step_dir @ aggs.T
+        pp, pv = np.sum(step_dir * step_dir, axis=1), np.sum(step_dir * v, axis=1)
+        tol = RAY_TOL * decrement
+
+        def slope(s):
+            lam = multipliers(t - s[:, None] * q, kept)
+            return s * pp - pv + np.sum(lam * q, axis=1)
+
+        s, hi, lo = np.ones(len(v)), np.ones(len(v)), np.zeros(len(v))
+        g_lo, g_hi = -decrement, slope(s)
+        last = np.zeros(len(v))  # +1 once a round moved lo, -1 once it moved hi
+        search = g_hi > tol
+        for _ in range(RAY_ROUNDS):
+            if not search.any():
+                break
+            # regula falsi, Illinois variant: an end kept twice has its g halved
+            s = np.where(search, lo - g_lo * (hi - lo) / (g_hi - g_lo), s)
+            g = slope(s)
+            below = search & (g < 0.0)
+            above = search & ~below
+            g_hi = np.where(below & (last > 0.0), 0.5 * g_hi, g_hi)
+            g_lo = np.where(above & (last < 0.0), 0.5 * g_lo, g_lo)
+            last = np.where(below, 1.0, np.where(above, -1.0, last))
+            lo, g_lo = np.where(below, s, lo), np.where(below, g, g_lo)
+            hi, g_hi = np.where(above, s, hi), np.where(above, g, g_hi)
+            search &= ~(np.abs(g) <= tol)
+            # a fold still searching steps to its upper end: a row about to
+            # cross the knee t = 1 - 1/c then crosses, and the next Hessian
+            # weighs it; a step short of the knee would stop short of it again
+            s = np.where(search, hi, s)
+        return np.where(s > 0.0, s, 1.0)  # NaN, from a non-finite g: halve from 1
+
+    v = np.array(v0, dtype=float)
+    moving = np.arange(len(v))
     # 1/(1 - t) and the barrier blow up only off the branch np.where keeps
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f_value, t, lam = evaluate(v)
+        f_value, t_all, lam_all = evaluate(v, moving)
         for _ in range(max_iter):
-            grad = v - aggs.T @ lam
-            if not np.any(grad):
-                break
+            lam, t = lam_all[moving], t_all[moving]
+            grad = v[moving] - lam @ aggs
             weights = np.where((lam > 0.0) & (lam < upper), 1.0 / (1.0 - t) ** 2, 0.0)
-            hessian = aggs.T @ (aggs * weights[:, None])
-            hessian.flat[:: hessian.shape[0] + 1] += 1.0
+            hessian = aggs.T @ (weights[:, :, None] * aggs)
+            hessian[:, diagonal, diagonal] += 1.0
             try:
-                step_dir = np.linalg.solve(hessian, grad)
+                step_dir = np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 step_dir = grad
-            if float(grad @ step_dir) <= floor * max(1.0, abs(f_value)):
+            decrement = np.sum(grad * step_dir, axis=1)
+            resolution = floor * np.maximum(1.0, abs(f_value[moving]))
+            go = np.any(grad, axis=1) & (decrement > resolution)
+            moving, step_dir, decrement = moving[go], step_dir[go], decrement[go]
+            if not moving.size:
                 break
-            step = 1.0
+            step = ray_search(keep[moving], v[moving], t[go], step_dir, decrement)
+            trying = np.arange(len(moving))
             for _ in range(MAX_HALVINGS):
-                candidate = v - step * step_dir
-                cand_value, cand_t, cand_lam = evaluate(candidate)
-                if cand_value < f_value:
-                    v, f_value, t, lam = candidate, cand_value, cand_t, cand_lam
+                folds = moving[trying]
+                candidate = v[folds] - step[trying, None] * step_dir[trying]
+                cand_value, cand_t, cand_lam = evaluate(candidate, folds)
+                better = cand_value < f_value[folds]
+                accepted = folds[better]
+                v[accepted], f_value[accepted] = candidate[better], cand_value[better]
+                t_all[accepted], lam_all[accepted] = cand_t[better], cand_lam[better]
+                trying = trying[~better]
+                if not trying.size:
                     break
-                step *= 0.5
-            else:
-                break
-    return v, lam
+                step[trying] *= 0.5
+            moving = np.delete(moving, trying)
+    return v, lam_all
+
+
+def _presolve_potential(
+    problem: DualProblem, v0: np.ndarray | None = None, max_iter: int = 150
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_presolve_folds`` for one problem with every row kept, from ``v0``
+    or v = 0: the potential optimum v and lam*(A v)."""
+    v0 = np.zeros(problem.d) if v0 is None else np.asarray(v0, dtype=float)
+    keep = np.ones((1, problem.n_subjects), dtype=bool)
+    v, lam = _presolve_folds(problem.aggregates, keep, problem.c, v0[None, :], max_iter)
+    return v[0], lam[0]
 
 
 def solve_dual(
@@ -266,25 +344,78 @@ def solve_dual(
     norm, which short gradient steps do but a coupled Newton move need not.
     Exits once that norm reaches ``tol``, which certifies the KKT conditions
     componentwise; otherwise raises ``NonConvergence`` carrying the last
-    iterate. ``iterations`` counts accepted steps. Deterministic.
+    iterate. ``iterations`` counts accepted steps. Deterministic. This is
+    ``solve_folds`` with one fold that keeps every row.
+    """
+    keep = np.ones((1, problem.n_subjects), dtype=bool)
+    return solve_folds(problem, keep, [start], tol=tol, max_iter=max_iter)[0][1]
+
+
+def solve_folds(
+    problem: DualProblem,
+    keep: np.ndarray,
+    starts: Sequence[Sequence[float] | None] | None = None,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[tuple[DualProblem, DualSolution]]:
+    """``solve_dual`` on F row subsets of one problem, as cross-validation
+    needs them: fold f keeps the rows where the (F, N) mask ``keep[f]`` is
+    True and starts from ``starts[f]`` (length ``keep[f].sum()``) or cold.
+
+    The folds with more rows than d share one batched potential presolve
+    over the full aggregate matrix; then each fold's own lambda-space loop
+    certifies it. Returns each fold's problem and solution in fold order, or
+    raises the first fold's failure.
     """
     GT_ZERO.check("tol", tol)
     GE_ZERO.check("max_iter", max_iter)
-    if not np.any(problem.aggregates) and problem.c <= 1.0:
-        raise DegenerateProblem(
-            "all aggregates are zero and c <= 1: maximizer is the boundary point "
-            "lambda = 0"
+    keep = np.asarray(keep, dtype=bool)
+    if keep.ndim != 2 or keep.shape[1] != problem.n_subjects:
+        raise DimensionMismatch(
+            f"keep has shape {keep.shape}, expected (F, {problem.n_subjects})"
         )
+    starts = [None] * len(keep) if starts is None else list(starts)
+    if len(starts) != len(keep):
+        raise DimensionMismatch(f"{len(starts)} starts for {len(keep)} folds")
+    folds, firsts = [], []
+    for rows, start in zip(keep, starts):
+        fold = problem if rows.all() else DualProblem(problem.aggregates[rows], problem.c)
+        if not np.any(fold.aggregates) and fold.c <= 1.0:
+            raise DegenerateProblem(
+                "all aggregates are zero and c <= 1: maximizer is the boundary point "
+                "lambda = 0"
+            )
+        if start is not None:
+            start = np.clip(np.asarray(start, dtype=float), 0.0, fold.box_upper)
+            if start.shape != (fold.n_subjects,):
+                raise DimensionMismatch(
+                    f"start has shape {start.shape}, expected ({fold.n_subjects},)"
+                )
+        folds.append(fold)
+        firsts.append(start)
 
+    tall = [
+        f for f, fold in enumerate(folds) if fold.d < fold.n_subjects and np.any(fold.aggregates)
+    ]
+    if tall:
+        v0 = [
+            np.zeros(problem.d) if firsts[f] is None else folds[f].aggregates.T @ firsts[f]
+            for f in tall
+        ]
+        _, lam = _presolve_folds(problem.aggregates, keep[tall], problem.c, np.array(v0))
+        for f, fold_lam in zip(tall, lam):
+            firsts[f] = fold_lam[keep[f]]
+    return [(fold, _ascend(fold, lam, tol, max_iter)) for fold, lam in zip(folds, firsts)]
+
+
+def _ascend(
+    problem: DualProblem, lam: np.ndarray | None, tol: float, max_iter: int
+) -> DualSolution:
+    """The lambda-space loop of ``solve_dual`` from ``lam`` (in the box), or
+    from a constant interior point when ``lam`` is None."""
     upper = problem.box_upper
     aggs = problem.aggregates
     n_subjects, d = aggs.shape
-    if start is not None:
-        start = np.clip(np.asarray(start, dtype=float), 0.0, upper)
-        if start.shape != (n_subjects,):
-            raise DimensionMismatch(
-                f"start has shape {start.shape}, expected ({n_subjects},)"
-            )
     row_sq = np.einsum("nd,nd->n", aggs, aggs)
     edge = 1e-12 * problem.c
 
@@ -350,11 +481,7 @@ def solve_dual(
             step *= 0.5
         return None
 
-    if d < n_subjects and np.any(aggs):
-        _, lam = _presolve_potential(problem, None if start is None else aggs.T @ start)
-    elif start is not None:
-        lam = start
-    else:
+    if lam is None:
         cold = min(0.5, max((problem.c - 1.0) / 2.0, 1e-3), upper / 2.0)
         lam = np.full(n_subjects, cold)
     obj, v = objective(lam)

@@ -480,23 +480,27 @@ def load_panel(path) -> LongitudinalPanel:
 
 
 def load_observed_labels(path) -> dict[str, int]:
-    """``load_panel(path).observed_labels()`` read from the ``subject_id``
-    and ``label`` columns alone: the time and feature columns are neither
-    parsed nor checked. Bad label tokens and conflicting labels are rejected
-    as load_panel rejects them. A file whose id or label column np.loadtxt
-    cannot read (a short row, a line of spaces, a blank id, no data rows)
-    goes through load_panel, which skips blank rows and names a bad line.
+    """``load_panel(path).observed_labels()`` in one np.loadtxt pass that
+    reads the ``subject_id`` and ``label`` cells and keeps one byte of every
+    other cell: the time and feature cells are counted, neither parsed nor
+    checked. Bad label tokens and conflicting labels are rejected as
+    load_panel rejects them. A file np.loadtxt cannot read this way (a row
+    whose cell count differs from the header's, a line of spaces, a blank
+    id, a cell holding a character beyond Latin-1, no data rows) goes
+    through load_panel, which skips blank rows and names a bad line.
     """
     layout = _layout(path)
     sid_i, _, label_i = layout.keys
+    dtype = [("", object if i in (sid_i, label_i) else "S1") for i in range(layout.width)]
     try:
-        cells = _loadtxt(path, layout, [("", object)] * 2, (sid_i, label_i)).tolist()
+        rows = _loadtxt(path, layout, dtype)
+        sids = [sid.strip() for sid in rows[rows.dtype.names[sid_i]].tolist()]
+        tokens = rows[rows.dtype.names[label_i]].tolist()
     except ValueError:
-        cells = []
-    sids = [sid.strip() for sid, _ in cells]
+        sids = []
     if not sids or not all(sids):
         return load_panel(path).observed_labels()
-    labels = [_parse_label(token, sid) for sid, (_, token) in zip(sids, cells)]
+    labels = [_parse_label(token, sid) for sid, token in zip(sids, tokens)]
     return {
         sid: label
         for sid, label in _subject_labels(sids, labels).items()

@@ -293,12 +293,13 @@ class TestRunPipeline:
         assert all(e is not None for e in errors)
 
     def test_failed_uqchi_cells_recorded_not_fatal(self, monkeypatch):
-        # every dual solve the harness makes raises NonConvergence carrying a
+        # every dual solve the harness makes (solve_dual in training,
+        # solve_folds in cross-validation) raises NonConvergence carrying a
         # partial solution, as the solver does when it cannot certify, so
         # every uqchi cell fails; chi does not use the dual solver
         (expected,) = [r for r in run_pipeline(tiny_spec()).table.rows if r.method == "chi"]
 
-        def uncertified_solve(problem, **kwargs):
+        def uncertified_solve(problem, *args, **kwargs):
             partial = DualSolution(
                 lam=np.zeros(problem.n_subjects),
                 objective=0.0,
@@ -309,6 +310,7 @@ class TestRunPipeline:
             raise NonConvergence("projected gradient norm 1.000e+00", solution=partial)
 
         monkeypatch.setattr(harness, "solve_dual", uncertified_solve)
+        monkeypatch.setattr(harness, "solve_folds", uncertified_solve)
         spec = tiny_spec()
         result = run_pipeline(spec)
         uq_runs = [r for r in result.runs if r["method"] == "uqchi"]

@@ -32,6 +32,7 @@ from healthindex.med_core import (
     potential_vector,
     projected_gradient,
     solve_dual,
+    _presolve_folds,
     _presolve_potential,
 )
 
@@ -409,6 +410,61 @@ class TestPotentialPresolve:
                 solution = solve_dual(problem, tol=DEFAULT_TOL, start=start)
                 assert_kkt_certificate(problem, solution, DEFAULT_TOL)
             lam_prev, c_prev = solution.lam, c
+
+
+def _decrement_bound(f_value):
+    return DECREMENT_ULPS * np.finfo(float).eps * max(1.0, abs(f_value))
+
+
+# N ~ d, entries of scale 16 to 30, c = 100: a backtracking line search on the
+# Newton direction spent all 150 steps on each of these and stopped 4e9 to 2e12
+# times above the decrement bound
+@pytest.mark.parametrize(
+    "shape,scale,seed",
+    [((43, 29), 26.0, 1), ((51, 31), 30.0, 11), ((37, 35), 16.0, 6), ((46, 39), 29.0, 3)],
+)
+def test_presolve_stops_on_decrement_near_square_at_c100(shape, scale, seed):
+    problem = DualProblem(np.random.default_rng(seed).normal(size=shape) * scale, 100.0)
+    decrement, f_value = _potential_decrement(problem, *_presolve_potential(problem))
+    assert decrement <= 2.0 * _decrement_bound(f_value)
+
+
+class TestBatchedPresolve:
+    # d = 20 and 90 to 210 training subjects in ten folds, as the tall sweep
+    @pytest.mark.parametrize("n", [90, 150, 210])
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 10.0])
+    def test_folds_match_their_batch_of_one(self, n, scale, monkeypatch):
+        """Each masked fold of one batched presolve ends where the presolve
+        of that fold alone ends, though the folds stop after different
+        numbers of Newton steps. A fold that kept stepping after its
+        decrement stop would drift from its own run by 1e-10 or more."""
+        rng = np.random.default_rng(n)
+        agg = rng.normal(size=(n, 20)) * scale
+        keep = np.ones((10, n), dtype=bool)
+        for rows, heldout in zip(keep, np.array_split(rng.permutation(n), 10)):
+            rows[heldout] = False
+        c = 10.0
+        v0 = rng.normal(size=(10, 20)) * (np.arange(10)[:, None] / (10.0 * scale))
+        v, lam = _presolve_folds(agg, keep, c, v0)
+
+        solve, hessians = np.linalg.solve, []
+
+        def counting_solve(a, b):
+            hessians.append(a.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        steps = []
+        for f, rows in enumerate(keep):
+            problem = DualProblem(agg[rows], c)
+            v_f, lam_f = _presolve_potential(problem, v0[f])
+            steps.append(sum(hessians))
+            hessians[:] = []
+            assert np.linalg.norm(v[f] - v_f) <= 1e-12 * np.linalg.norm(v_f)
+            assert not np.any(lam[f, ~rows])
+            decrement, f_value = _potential_decrement(problem, v_f, lam_f)
+            assert decrement <= 2.0 * _decrement_bound(f_value)
+        assert len(set(steps)) > 1
 
 
 class TestPosterior:
