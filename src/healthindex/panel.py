@@ -338,16 +338,14 @@ def _layout(path) -> _Layout:
     return _Layout(len(header), header_lines, keys, features)
 
 
-def _loadtxt(path, layout: _Layout, dtype, usecols=None) -> np.ndarray:
+def _loadtxt(path, layout: _Layout, dtype) -> np.ndarray:
     """One pass over the data rows; raises ValueError on a row loadtxt
     cannot read. loadtxt would open a path with newline translation, which
     turns a CR inside a quoted cell into LF; the file is opened as
     csv.reader needs it instead."""
     with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a file without data rows
-        return np.loadtxt(
-            fh, dtype=dtype, usecols=usecols, skiprows=layout.header_lines, **_LOADTXT
-        )
+        return np.loadtxt(fh, dtype=dtype, skiprows=layout.header_lines, **_LOADTXT)
 
 
 def _parse_label(token: str, subject_id: str) -> int | None:
