@@ -2,8 +2,8 @@
 has the SHA-256 stored in ``tests/cli_digests.json``.
 
 The run is the seed-5, 200-subject, d = 90 panel; a uqchi and a chi model;
-predictions with no rejection, a rejection rate and a threshold; and the
-evaluate report. It catches any change in the last bits of what the
+uqchi predictions with no rejection, a rejection rate and a threshold; chi
+predictions; and the evaluate report. It catches any change in the last bits of what the
 program writes. It runs in a subprocess with one BLAS thread and skips when
 the numpy or BLAS build differs from the one the digests were made with.
 
@@ -36,6 +36,7 @@ _STEPS = [
      "--reject-rate", "0.4"],
     ["predict", "--model", "@uqchi.json", "--panel", "@panel.csv", "--out", "@threshold.csv",
      "--reject-threshold", "0.7"],
+    ["predict", "--model", "@chi.json", "--panel", "@panel.csv", "--out", "@chi_predictions.csv"],
     ["evaluate", "--predictions", "@rate.csv", "--truth", "@panel.csv", "--out", "@report.json"],
 ]
 

@@ -365,6 +365,45 @@ class TestRunPipeline:
         result = run_pipeline(spec)
         assert any(r.mean_accuracy is not None for r in result.table.rows)
 
+    def test_csv_source_rejects_among_scored_subjects_only(self, tmp_path):
+        """A CSV panel's unlabeled test subjects are not scored, and rate
+        rejection counts only the scored ones: floor(rate * labeled test
+        subjects) abstentions per run."""
+        from healthindex.panel import load_panel, split_and_mask
+        from healthindex.simulator import simulate_to_files
+
+        config = SimConfig(
+            d=5,
+            n_per_class=10,
+            degradation_rate=0.6,
+            informative_k=2,
+            label_observed_fraction=0.5,
+            seed=7,
+        )
+        path = tmp_path / "panel.csv"
+        simulate_to_files(config, path)
+        spec = tiny_spec(
+            sim=None,
+            panel_csv=str(path),
+            n_seeds=4,
+            baselines=("uqchi",),
+            rejection_rates=(0.0, 0.4),
+        )
+        panel = load_panel(path)
+        runs = [r for r in run_pipeline(spec).runs if r["method"] == "uqchi"]
+        assert len(runs) == 8
+        for run in runs:
+            assert run["error"] is None
+            _, test = split_and_mask(
+                panel,
+                run["train_ratio"],
+                run["label_ratio"],
+                spec.seed + run["seed_index"] + harness._SPLIT_SEED_OFFSET,
+            )
+            n_scored = int(np.count_nonzero(test.labels))
+            assert n_scored < test.n_subjects
+            assert run["abstained"] == int(np.floor(run["rejection_rate"] * n_scored))
+
     @pytest.mark.parametrize("source", ["csv", "sim"])
     def test_each_source_read_once(self, tmp_path, monkeypatch, source):
         """The CSV is read once per sweep and each seed's panel simulated
