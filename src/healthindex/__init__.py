@@ -52,7 +52,7 @@ from .panel import (
     write_panel,
 )
 from .predictor import (
-    PredictionRecord,
+    Predictions,
     confidence,
     index_trajectory,
     predict,
@@ -80,7 +80,7 @@ __all__ = [
     "NonFiniteObjective",
     "PanelFormatError",
     "PipelineResult",
-    "PredictionRecord",
+    "Predictions",
     "ResultRow",
     "ResultTable",
     "SimConfig",

@@ -23,7 +23,7 @@ from .errors import GE_ZERO, GT_ZERO, Config, DimensionMismatch, NonFiniteObject
 # importable from here because perfbench's tracer wraps chi_baseline.save_model
 from .med_core import FORMAT_VERSION, save_model  # noqa: F401
 from .panel import NEGATIVE, POSITIVE, LongitudinalPanel
-from .predictor import PredictionRecord
+from .predictor import Predictions
 
 
 @dataclass(frozen=True)
@@ -181,19 +181,16 @@ def chi_predict(model: ChiModel, x: Sequence[float]) -> int:
     return 1 if float(x @ model.w) + model.b >= 0.0 else -1
 
 
-def chi_predict_panel(model: ChiModel, panel: LongitudinalPanel) -> list[PredictionRecord]:
-    """One record per subject from the affine score x.w + b of its terminal
-    visit x, the ``index_mean``: one dot product per visit, as
-    ``chi_predict`` takes it, and a tie goes to +1. The baseline has no
-    posterior, so no std or confidence."""
+def chi_predict_panel(model: ChiModel, panel: LongitudinalPanel) -> Predictions:
+    """Each subject's affine score x.w + b at its terminal visit x, the
+    ``index_mean``: one dot product per visit, as ``chi_predict`` takes it,
+    and a tie goes to +1. The baseline has no posterior, so no std or
+    confidence."""
     if model.d != panel.d:
         raise DimensionMismatch(f"model has d={model.d}, panel has d={panel.d}")
-    last = panel.offsets[1:] - 1
-    scores = [float(x @ model.w) + model.b for x in panel.observations[last]]
-    return [
-        PredictionRecord(sid, t, score, None, 1 if score >= 0.0 else -1, None)
-        for sid, t, score in zip(panel.subject_ids, panel.times[last].tolist(), scores)
-    ]
+    return Predictions.at_terminals(
+        panel, np.array([float(x @ model.w) + model.b for x in panel.terminals])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -166,14 +166,14 @@ def _cmd_predict(args) -> int:
             scored = apply_standardization(panel, standardization)
 
     if kind == "med":
-        records = predictor.predict_panel(model, scored)
+        preds = predictor.predict_panel(model, scored)
         if args.reject_rate is not None:
-            records = predictor.reject_by_rate(records, args.reject_rate)
+            preds = predictor.reject_by_rate(preds, args.reject_rate)
         elif args.reject_threshold is not None:
-            records = predictor.reject_by_threshold(records, args.reject_threshold)
+            preds = predictor.reject_by_threshold(preds, args.reject_threshold)
     else:
-        records = chi_baseline.chi_predict_panel(model, scored)
-    predictor.write_predictions(records, args.out)
+        preds = chi_baseline.chi_predict_panel(model, scored)
+    predictor.write_predictions(preds, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

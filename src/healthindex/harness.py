@@ -2,15 +2,18 @@
 
 One run of the pipeline walks a grid of training ratios, unlabeled
 fractions, margin-rate cells and seeds; each cell trains on a masked
-subject-level split, predicts the held-out subjects at their terminal
-visits and scores accuracy over the non-abstained ones. Every run goes
-into one deterministic log, and the result table is computed from it.
+subject-level split and predicts the held-out subjects at their terminal
+visits. Rejection and scoring see only the held-out subjects with a truth
+label, one mask per split, and accuracy is taken over the non-abstained
+ones. Every run goes into one deterministic log, and the result table is
+computed from it.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 from pathlib import Path
@@ -30,7 +33,7 @@ from .panel import (
     load_panel,
     split_and_mask,
 )
-from .predictor import PredictionRecord, predict_panel, reject_by_rate
+from .predictor import Predictions, predict_panel, reject_by_rate
 from .simulator import SimConfig, simulate
 
 METHOD_UQCHI = "uqchi"
@@ -69,27 +72,19 @@ def evaluate(predictions: Mapping[str, int], truth: Mapping[str, int]) -> EvalRe
     missing = [sid for sid in predictions if sid not in truth]
     if missing:
         raise ValueError(f"no truth for predicted subjects: {missing[:5]}")
-    tp = tn = fp = fn = abstained = 0
     for sid, pred in predictions.items():
-        if pred == predictor.REJECTED_LABEL:
-            abstained += 1
-            continue
-        if pred not in (1, -1):
+        if pred not in (1, -1, predictor.REJECTED_LABEL):
             raise ValueError(f"prediction for {sid} must be 1, -1 or 0, got {pred}")
-        actual = truth[sid]
-        if pred == 1:
-            tp += int(actual == 1)
-            fp += int(actual == -1)
-        else:
-            tn += int(actual == -1)
-            fn += int(actual == 1)
+    pairs = Counter((pred, truth[sid]) for sid, pred in predictions.items())
+    tp, tn, fp, fn = pairs[1, 1], pairs[-1, -1], pairs[1, -1], pairs[-1, 1]
+    abstained = sum(n for (pred, _), n in pairs.items() if pred == predictor.REJECTED_LABEL)
     accepted = tp + tn + fp + fn
     accuracy = (tp + tn) / accepted if accepted else None
     return EvalResult(accuracy, accepted, abstained, tp, tn, fp, fn)
 
 
-def records_to_labels(records: Sequence[PredictionRecord]) -> dict[str, int]:
-    return {r.subject_id: r.rejection_label for r in records}
+def _score(preds: Predictions, truth: Mapping[str, int]) -> EvalResult:
+    return evaluate(dict(zip(preds.subject_ids, preds.rejection_labels.tolist())), truth)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +325,7 @@ def _uqchi_cell(
     train_s: LongitudinalPanel,
     test_s: LongitudinalPanel,
     truth: Mapping[str, int],
-    scored_ids: set[str],
+    scored: np.ndarray,
     c_value: float | None,
 ) -> list[tuple[float | None, int, float]]:
     """(accuracy, abstained, chosen_c) per rejection rate for one c cell;
@@ -349,12 +344,9 @@ def _uqchi_cell(
     posterior, _, _ = train_uqchi(
         train_s, chosen_c, tol=spec.solver_tol, max_iter=spec.solver_max_iter
     )
-    records = [r for r in predict_panel(posterior, test_s) if r.subject_id in scored_ids]
-    outcomes = []
-    for rate in spec.rejection_rates:
-        result = evaluate(records_to_labels(reject_by_rate(records, rate)), truth)
-        outcomes.append((result.accuracy, result.n_abstained, chosen_c))
-    return outcomes
+    preds = predict_panel(posterior, test_s).subset(scored)
+    results = [_score(reject_by_rate(preds, rate), truth) for rate in spec.rejection_rates]
+    return [(result.accuracy, result.n_abstained, chosen_c) for result in results]
 
 
 def _chi_cell(
@@ -362,14 +354,13 @@ def _chi_cell(
     train_s: LongitudinalPanel,
     test_s: LongitudinalPanel,
     truth: Mapping[str, int],
-    scored_ids: set[str],
+    scored: np.ndarray,
 ) -> list[tuple[float | None, int, None]]:
     """The one (accuracy, abstained, None) outcome of the chi baseline."""
     model = chi_train(
         train_s, spec.chi_hyper, steps=spec.chi_steps, step_size=spec.chi_step_size
     )
-    records = [r for r in chi_predict_panel(model, test_s) if r.subject_id in scored_ids]
-    result = evaluate(records_to_labels(records), truth)
+    result = _score(chi_predict_panel(model, test_s).subset(scored), truth)
     return [(result.accuracy, result.n_abstained, None)]
 
 
@@ -400,13 +391,15 @@ def _table(runs: Sequence[dict]) -> ResultTable:
 
 
 def _split(panel, truth, train_ratio, label_ratio, seed):
-    """(train, test, truth, scored test ids) of one split, both sides
-    standardized with the train side's fit."""
+    """(train, test, truth, scored) of one split, both sides standardized
+    with the train side's fit; ``scored`` masks the test subjects with a
+    truth entry, the ones that rejection and scoring see."""
     train, test = split_and_mask(panel, train_ratio, label_ratio, seed)
     standardization = fit_standardization(train)
     train_s = apply_standardization(train, standardization)
     test_s = apply_standardization(test, standardization)
-    return train_s, test_s, truth, {sid for sid in test_s.subject_ids if sid in truth}
+    scored = np.array([sid in truth for sid in test_s.subject_ids])
+    return train_s, test_s, truth, scored
 
 
 def run_pipeline(spec: ExperimentSpec) -> PipelineResult:

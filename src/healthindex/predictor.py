@@ -2,16 +2,20 @@
 
 Under a posterior N(v, I) the index of a visit x is Gaussian with mean v.x
 and standard deviation ||x||, so the class probability has the closed form
-Phi(|v.x| / ||x||). Confidence feeds two abstention modes: a probability
-threshold and a fixed rejection rate over the least-confident records.
+Phi(|v.x| / ||x||). A panel's predictions are one ``Predictions`` struct of
+arrays, one entry per subject at its terminal visit. Confidence feeds two
+abstention modes, each returning the struct with a new abstention mask: a
+probability threshold and a fixed rejection rate over the least-confident
+subjects.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
@@ -79,7 +83,7 @@ class IndexTrajectory:
 def index_trajectory(posterior: WeightPosterior, series: SubjectSeries) -> IndexTrajectory:
     """Index mean v.x_t and std ||x_t|| per visit, with a count of visits
     where the mean index decreases. The last visit's mean and std are the
-    ``index_mean`` and ``index_std`` that ``predict_panel`` records."""
+    ``index_mean`` and ``index_std`` that ``predict_panel`` returns."""
     if series.d != posterior.d:
         raise DimensionMismatch(
             f"series has d={series.d}, posterior has d={posterior.d}"
@@ -94,110 +98,132 @@ def index_trajectory(posterior: WeightPosterior, series: SubjectSeries) -> Index
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
-    """Decision at a subject's terminal visit.
+class Predictions:
+    """Decisions at each subject's terminal visit, one array entry per
+    subject in panel order: ``predicted_label`` is the sign of ``index_mean``.
+    A model without a posterior (the chi baseline) has no ``index_std`` and
+    no ``confidence`` (None)."""
 
-    ``index_mean`` is the index the decision thresholds and ``index_std`` its
-    posterior standard deviation; a model without a posterior (the chi
-    baseline) leaves ``index_std`` and ``confidence`` as None.
-    """
+    subject_ids: tuple[str, ...]
+    t_last: np.ndarray
+    index_mean: np.ndarray
+    index_std: np.ndarray | None
+    predicted_label: np.ndarray
+    confidence: np.ndarray | None
+    abstained: np.ndarray
 
-    subject_id: str
-    t_last: int
-    index_mean: float
-    index_std: float | None
-    predicted_label: int
-    confidence: float | None
-    abstained: bool = False
+    @classmethod
+    def at_terminals(cls, panel: LongitudinalPanel, mean, std=None, conf=None) -> Predictions:
+        """The panel's subjects with terminal index ``mean``, a tie going to
+        +1, and none abstained."""
+        return cls(panel.subject_ids, panel.times[panel.offsets[1:] - 1], mean, std,
+                   np.where(mean >= 0.0, 1, -1), conf, np.zeros(len(mean), dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.subject_ids)
 
     @property
-    def rejection_label(self) -> int:
-        """Rejection-aware label: 0 when abstained, else the prediction."""
-        return REJECTED_LABEL if self.abstained else self.predicted_label
+    def rejection_labels(self) -> np.ndarray:
+        """Rejection-aware labels: 0 where abstained, else the prediction."""
+        return np.where(self.abstained, REJECTED_LABEL, self.predicted_label)
+
+    def subset(self, rows: np.ndarray) -> Predictions:
+        """The subjects where the boolean mask ``rows`` is True, in order."""
+        arrays = (getattr(self, f.name) for f in fields(self)[1:])
+        return Predictions(tuple(compress(self.subject_ids, rows)),
+                           *(None if a is None else a[rows] for a in arrays))
 
 
-def predict_panel(posterior: WeightPosterior, panel: LongitudinalPanel) -> list[PredictionRecord]:
-    """One record per subject from the index mean v.x and std ||x|| of its
-    terminal visit x; the same two floats give ``predict`` and
-    ``confidence``. An all-zero terminal visit carries no evidence: it gets
-    the tie label +1 and confidence 0.5, the lowest possible, so rate-based
-    rejection abstains on it first."""
+def predict_panel(posterior: WeightPosterior, panel: LongitudinalPanel) -> Predictions:
+    """Each subject's index mean v.x and std ||x|| at its terminal visit x;
+    the same two floats give ``predict`` and ``confidence``. An all-zero
+    terminal visit carries no evidence: it gets the tie label +1 and
+    confidence 0.5, the lowest possible, so rate-based rejection abstains on
+    it first."""
     if panel.d != posterior.d:
         raise DimensionMismatch(f"panel has d={panel.d}, posterior has d={posterior.d}")
-    last = panel.offsets[1:] - 1
-    records = []
-    for sid, t, x in zip(panel.subject_ids, panel.times[last].tolist(), panel.observations[last]):
-        mean, std = _index(posterior, x)
-        records.append(
-            PredictionRecord(
-                subject_id=sid,
-                t_last=t,
-                index_mean=mean,
-                index_std=std,
-                predicted_label=1 if mean >= 0.0 else -1,
-                confidence=_normal_cdf(abs(mean) / std) if std != 0.0 else 0.5,
-            )
-        )
-    return records
+    index = [_index(posterior, x) for x in panel.terminals]
+    conf = [_normal_cdf(abs(mean) / std) if std != 0.0 else 0.5 for mean, std in index]
+    mean, std = np.array(index).T
+    return Predictions.at_terminals(panel, mean, std, np.array(conf))
 
 
-def reject_by_threshold(
-    records: Sequence[PredictionRecord], threshold: float
-) -> list[PredictionRecord]:
-    """Abstain exactly on records with confidence below the threshold."""
+def _confidence(preds: Predictions) -> np.ndarray:
+    if preds.confidence is None:
+        raise ValueError("rejection needs confidence scores, which a chi model does not give")
+    return preds.confidence
+
+
+def reject_by_threshold(preds: Predictions, threshold: float) -> Predictions:
+    """Abstain exactly on subjects with confidence below the threshold."""
     THRESHOLDS.check("threshold", threshold)
-    return [replace(r, abstained=r.confidence < threshold) for r in records]
+    return replace(preds, abstained=_confidence(preds) < threshold)
 
 
-def reject_by_rate(
-    records: Sequence[PredictionRecord], rate: float
-) -> list[PredictionRecord]:
-    """Abstain on the floor(rate * len) least-confident records.
+def reject_by_rate(preds: Predictions, rate: float) -> Predictions:
+    """Abstain on the floor(rate * len) least-confident subjects.
 
     Ties break by input position (stable sort), so growing the rate always
     grows the abstention set.
     """
     RATES.check("rate", rate)
-    if not records:
+    if not len(preds):
         raise ValueError("need at least one record")
-    n_reject = int(math.floor(rate * len(records)))
-    order = np.argsort([r.confidence for r in records], kind="stable")
-    rejected = set(order[:n_reject].tolist())
-    return [replace(r, abstained=i in rejected) for i, r in enumerate(records)]
+    order = np.argsort(_confidence(preds), kind="stable")
+    abstained = np.zeros(len(preds), dtype=bool)
+    abstained[order[: math.floor(rate * len(preds))]] = True
+    return replace(preds, abstained=abstained)
 
 
 # ---------------------------------------------------------------------------
 # prediction CSV
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def write_predictions(records: Iterable[PredictionRecord], path) -> None:
+def write_predictions(preds: Predictions, path) -> None:
     """One row per subject; the pred column is rejection-aware (1, -1 or 0)
-    and a missing std or confidence is left blank."""
+    and a missing std or confidence column is left blank."""
+    blank = [""] * len(preds)
+    columns = (
+        preds.subject_ids,
+        preds.t_last.tolist(),
+        preds.index_mean.tolist(),
+        blank if preds.index_std is None else preds.index_std.tolist(),
+        preds.rejection_labels.tolist(),
+        blank if preds.confidence is None else preds.confidence.tolist(),
+        preds.abstained.astype(int).tolist(),
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PREDICTION_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.subject_id,
-                    r.t_last,
-                    repr(r.index_mean),
-                    _cell(r.index_std),
-                    r.rejection_label,
-                    _cell(r.confidence),
-                    int(r.abstained),
-                ]
-            )
+        writer.writerows(zip(*columns))
 
 
 def read_prediction_labels(path) -> dict[str, int]:
-    """Rejection-aware labels keyed by subject id, as written above."""
+    """Rejection-aware labels keyed by subject id, as written above.
+
+    A missing subject_id or pred column, a row whose cell count differs from
+    the header's, a pred cell that is not an integer and a repeated subject
+    id raise ValueError naming the file and line.
+    """
     out: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[row["subject_id"]] = int(row["pred"])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in ("subject_id", "pred") if name not in header]
+        if missing:
+            raise ValueError(f"{path} line 1: no {' or '.join(missing)} column")
+        sid_at, pred_at = header.index("subject_id"), header.index("pred")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path} line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} cells, the header has {len(header)}")
+            sid, pred = row[sid_at], row[pred_at]
+            if sid in out:
+                raise ValueError(f"{where}: repeated subject id {sid!r}")
+            try:
+                out[sid] = int(pred)
+            except ValueError:
+                raise ValueError(f"{where}: pred {pred!r} is not an integer") from None
     return out

@@ -306,6 +306,36 @@ class TestTrainPredictEvaluate:
         assert rows[first.subject_id][3:] == ["0.0", "0", "0.5", "1"]
         assert sum(row[6] == "1" for row in rows.values()) == 1
 
+    @pytest.mark.parametrize(
+        "fault, line, named",
+        [
+            ("short row", 3, "6 cells, the header has 7"),
+            ("no pred column", 1, "no pred column"),
+            ("empty pred cell", 3, "pred '' is not an integer"),
+            ("repeated subject id", 3, "repeated subject id"),
+        ],
+    )
+    def test_malformed_prediction_csv_exits_2(self, tmp_path, capsys, fault, line, named):
+        panel = simulate_panel(tmp_path)
+        model = tmp_path / "m.json"
+        preds = tmp_path / "p.csv"
+        run(["train", "--panel", panel, "--out", model])
+        run(["predict", "--model", model, "--panel", panel, "--out", preds])
+        lines = preds.read_text().splitlines()
+        cells = lines[2].split(",")
+        if fault == "short row":
+            lines[2] = ",".join(cells[:-1])
+        elif fault == "no pred column":
+            lines[0] = lines[0].replace(",pred,", ",label,")
+        elif fault == "empty pred cell":
+            lines[2] = ",".join(cells[:4] + [""] + cells[5:])
+        else:
+            lines[2] = ",".join(lines[1].split(",")[:1] + cells[1:])
+        preds.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--predictions", preds, "--truth", panel]) == 2
+        assert f"{preds} line {line}: {named}" in capsys.readouterr().err
+
     def test_missing_panel_exits_2(self, tmp_path):
         assert run(
             ["train", "--panel", tmp_path / "nope.csv", "--out", tmp_path / "m.json"]

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from healthindex.chi_baseline import ChiModel, chi_predict_panel
 from healthindex.errors import DimensionMismatch, ZeroFeatureVector
 from healthindex.med_core import WeightPosterior
 from healthindex.panel import LongitudinalPanel, SubjectSeries
 from healthindex.predictor import (
-    PredictionRecord,
+    Predictions,
     confidence,
     index_trajectory,
     predict,
@@ -29,7 +30,22 @@ def series(rows, sid="s", label=None):
 
 
 def record(sid, conf, label=1):
-    return PredictionRecord(sid, 1, float(label), 1.0, label, conf)
+    return sid, conf, label
+
+
+def predictions(records):
+    """Predictions of (subject id, confidence, label) rows, each at t = 1
+    with index mean equal to the label and index std 1."""
+    ids, confs, labels = zip(*records) if records else ((), (), ())
+    n, labels = len(ids), np.array(labels, dtype=int)
+    return Predictions(
+        ids, np.ones(n, dtype=int), labels.astype(float), np.ones(n), labels,
+        np.array(confs, dtype=float), np.zeros(n, dtype=bool),
+    )
+
+
+def rejected(preds):
+    return [sid for sid, out in zip(preds.subject_ids, preds.abstained) if out]
 
 
 class TestPredict:
@@ -121,66 +137,69 @@ class TestIndexTrajectory:
         and index_std, bit for bit."""
         panel, _ = simulate(SimConfig(d=90, seed=3))
         post = WeightPosterior(np.random.default_rng(3).normal(size=90))
-        for s, rec in zip(panel.subjects, predict_panel(post, panel)):
+        preds = predict_panel(post, panel)
+        for i, s in enumerate(panel.subjects):
             traj = index_trajectory(post, s)
-            assert (traj.means[-1], traj.stds[-1]) == (rec.index_mean, rec.index_std)
+            assert (traj.means[-1], traj.stds[-1]) == (preds.index_mean[i], preds.index_std[i])
 
 
 class TestRejectByThreshold:
     def test_half_rejects_nothing(self):
-        records = [record("a", 0.51), record("b", 0.99)]
-        assert not any(r.abstained for r in reject_by_threshold(records, 0.5))
+        records = predictions([record("a", 0.51), record("b", 0.99)])
+        assert not any(reject_by_threshold(records, 0.5).abstained)
 
     def test_one_rejects_everything_below_certainty(self):
-        records = [record("a", 0.6), record("b", 1.0)]
-        flags = [r.abstained for r in reject_by_threshold(records, 1.0)]
+        records = predictions([record("a", 0.6), record("b", 1.0)])
+        flags = reject_by_threshold(records, 1.0).abstained.tolist()
         assert flags == [True, False]
 
     def test_plain_comparison(self):
-        records = [record("a", 0.6), record("b", 0.9)]
-        flags = [r.abstained for r in reject_by_threshold(records, 0.7)]
+        records = predictions([record("a", 0.6), record("b", 0.9)])
+        flags = reject_by_threshold(records, 0.7).abstained.tolist()
         assert flags == [True, False]
 
     def test_threshold_range_checked(self):
         with pytest.raises(ValueError):
-            reject_by_threshold([record("a", 0.6)], 0.4)
+            reject_by_threshold(predictions([record("a", 0.6)]), 0.4)
         with pytest.raises(ValueError):
-            reject_by_threshold([record("a", 0.6)], 1.1)
+            reject_by_threshold(predictions([record("a", 0.6)]), 1.1)
 
     def test_abstained_records_report_zero_label(self):
-        (rec,) = reject_by_threshold([record("a", 0.6, label=-1)], 0.9)
-        assert rec.abstained
-        assert rec.rejection_label == 0
-        assert rec.predicted_label == -1
+        rec = reject_by_threshold(predictions([record("a", 0.6, label=-1)]), 0.9)
+        assert rec.abstained[0]
+        assert rec.rejection_labels[0] == 0
+        assert rec.predicted_label[0] == -1
 
 
 class TestRejectByRate:
     def test_zero_rate_keeps_all(self):
-        records = [record("a", 0.6), record("b", 0.7)]
-        assert not any(r.abstained for r in reject_by_rate(records, 0.0))
+        records = predictions([record("a", 0.6), record("b", 0.7)])
+        assert not any(reject_by_rate(records, 0.0).abstained)
 
     def test_floor_count_least_confident(self):
-        records = [record(f"s{i}", c) for i, c in enumerate([0.9, 0.5, 0.7, 0.6, 0.8])]
-        rejected = [r.subject_id for r in reject_by_rate(records, 0.4) if r.abstained]
-        assert rejected == ["s1", "s3"]
+        records = predictions(
+            [record(f"s{i}", c) for i, c in enumerate([0.9, 0.5, 0.7, 0.6, 0.8])]
+        )
+        assert rejected(reject_by_rate(records, 0.4)) == ["s1", "s3"]
 
     def test_ties_break_by_input_order(self):
-        records = [record(f"s{i}", 0.75) for i in range(4)]
-        rejected = [r.subject_id for r in reject_by_rate(records, 0.5) if r.abstained]
-        assert rejected == ["s0", "s1"]
+        records = predictions([record(f"s{i}", 0.75) for i in range(4)])
+        assert rejected(reject_by_rate(records, 0.5)) == ["s0", "s1"]
 
     def test_rates_nest(self):
         rng = np.random.default_rng(21)
-        records = [record(f"s{i}", float(c)) for i, c in enumerate(rng.uniform(0.5, 1, 40))]
+        records = predictions(
+            [record(f"s{i}", float(c)) for i, c in enumerate(rng.uniform(0.5, 1, 40))]
+        )
         previous: set = set()
         for rate in (0.0, 0.2, 0.4, 0.6, 0.8):
-            current = {r.subject_id for r in reject_by_rate(records, rate) if r.abstained}
+            current = set(rejected(reject_by_rate(records, rate)))
             assert previous <= current
             previous = current
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            reject_by_rate([], 0.2)
+            reject_by_rate(predictions([]), 0.2)
 
     def test_accepted_accuracy_rises_with_rate_on_calibrated_data(self):
         # correctness drawn as Bernoulli(confidence): higher-confidence records
@@ -190,14 +209,10 @@ class TestRejectByRate:
         for _ in range(30):
             confs = rng.uniform(0.5, 1.0, 200)
             correct = rng.uniform(size=200) < confs
-            records = [record(f"s{i}", float(c)) for i, c in enumerate(confs)]
+            records = predictions([record(f"s{i}", float(c)) for i, c in enumerate(confs)])
             accs = []
             for rate in (0.0, 0.6):
-                kept = [
-                    correct[i]
-                    for i, r in enumerate(reject_by_rate(records, rate))
-                    if not r.abstained
-                ]
+                kept = correct[~reject_by_rate(records, rate).abstained]
                 accs.append(np.mean(kept))
             deltas.append(accs[1] - accs[0])
         assert np.mean(deltas) > 0
@@ -214,12 +229,10 @@ class TestPredictPanel:
             )
         )
         records = predict_panel(post, panel)
-        zero = records[1]
-        assert (zero.predicted_label, zero.confidence) == (1, 0.5)
-        assert zero.index_std == 0.0
-        assert all(r.confidence > 0.5 for r in records if r is not zero)
-        rejected = [r.subject_id for r in reject_by_rate(records, 0.34) if r.abstained]
-        assert rejected == ["b"]
+        assert (records.predicted_label[1], records.confidence[1]) == (1, 0.5)
+        assert records.index_std[1] == 0.0
+        assert all(c > 0.5 for i, c in enumerate(records.confidence) if i != 1)
+        assert rejected(reject_by_rate(records, 0.34)) == ["b"]
 
 
     def test_records_carry_the_floats_that_decide(self):
@@ -233,18 +246,40 @@ class TestPredictPanel:
                     for i in range(8)
                 )
             )
-            for r, s in zip(predict_panel(post, panel), panel.subjects):
+            records = predict_panel(post, panel)
+            for i, s in enumerate(panel.subjects):
                 x = s.terminal
-                assert r.t_last == int(s.times[-1])
-                assert r.index_mean == float(post.mean @ x)
-                assert r.index_std == float(np.linalg.norm(x))
-                assert r.predicted_label == predict(post, x)
-                assert r.confidence == confidence(post, x)
+                assert records.t_last[i] == int(s.times[-1])
+                assert records.index_mean[i] == float(post.mean @ x)
+                assert records.index_std[i] == float(np.linalg.norm(x))
+                assert records.predicted_label[i] == predict(post, x)
+                assert records.confidence[i] == confidence(post, x)
 
     def test_dimension_mismatch_names_both(self):
         panel = LongitudinalPanel.from_subjects((series([[1.0, 2.0]]),))
         with pytest.raises(DimensionMismatch, match="panel has d=2, posterior has d=3"):
             predict_panel(WeightPosterior(np.ones(3)), panel)
+
+    def test_rejecting_predictions_without_confidence_names_the_cause(self):
+        panel = LongitudinalPanel.from_subjects(
+            (series([[1.0, 0.0]], sid="a"), series([[-3.0, 0.5]], sid="b"))
+        )
+        preds = chi_predict_panel(ChiModel(np.array([1.0, -0.5]), 0.25), panel)
+        assert preds.index_std is None and preds.confidence is None
+        for reject, arg in ((reject_by_rate, 0.5), (reject_by_threshold, 0.7)):
+            with pytest.raises(ValueError, match="rejection needs confidence scores"):
+                reject(preds, arg)
+
+    def test_subset_keeps_the_masked_subjects_in_order(self):
+        records = reject_by_rate(
+            predictions([record(f"s{i}", c) for i, c in enumerate([0.9, 0.5, 0.7, 0.6])]),
+            0.5,
+        )
+        kept = records.subset(np.array([True, True, False, True]))
+        assert kept.subject_ids == ("s0", "s1", "s3")
+        assert kept.confidence.tolist() == [0.9, 0.5, 0.6]
+        assert kept.rejection_labels.tolist() == [1, 0, 0]
+        assert len(kept) == 3
 
 
 class TestPredictionCsv:

@@ -37,7 +37,7 @@ from healthindex.panel import (
     split_and_mask,
     write_panel,
 )
-from healthindex.predictor import PredictionRecord, reject_by_rate
+from healthindex.predictor import Predictions, reject_by_rate
 from healthindex.simulator import SimConfig
 
 # deterministic example streams, no per-example deadline on slow machines
@@ -208,13 +208,15 @@ def test_flat_panel_refuses_what_the_per_subject_checks_refuse(subjects):
     st.lists(st.floats(0.0, 0.999), min_size=1, max_size=6),
 )
 def test_reject_by_rate_sets_nest_as_the_rate_grows(confidences, rates):
-    records = [
-        PredictionRecord(f"s{i}", 1, 0.0, 1.0, 1, conf)
-        for i, conf in enumerate(confidences)
-    ]
+    n = len(confidences)
+    records = Predictions(
+        tuple(f"s{i}" for i in range(n)), np.ones(n, dtype=int), np.zeros(n), np.ones(n),
+        np.ones(n, dtype=int), np.array(confidences), np.zeros(n, dtype=bool),
+    )
     previous: set = set()
     for rate in sorted(rates):
-        current = {r.subject_id for r in reject_by_rate(records, rate) if r.abstained}
+        out = reject_by_rate(records, rate)
+        current = {sid for sid, a in zip(out.subject_ids, out.abstained) if a}
         assert len(current) == math.floor(rate * len(records))
         assert previous <= current
         previous = current
