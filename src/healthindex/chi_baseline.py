@@ -26,6 +26,9 @@ from .panel import NEGATIVE, POSITIVE, LongitudinalPanel
 from .predictor import Predictions
 
 
+_BLOCK_ROWS = 256  # visit steps per block in _build_design
+
+
 @dataclass(frozen=True)
 class ChiHyperparams(Config):
     """Finite non-negative term weights.
@@ -78,23 +81,27 @@ class _Design:
 
 
 def _build_design(panel: LongitudinalPanel, hyper: ChiHyperparams) -> _Design:
-    d, labels, terminals = panel.d, panel.labels, panel.terminals
+    d, labels, obs = panel.d, panel.labels, panel.observations
+    last = panel.offsets[1:] - 1  # each subject's terminal row
     labeled = labels != 0
     n_lab = int(labeled.sum())
-    n_rows = n_lab + panel.observations.shape[0] - panel.n_subjects
+    n_rows = n_lab + obs.shape[0] - panel.n_subjects
     rows = np.zeros((n_rows, d + 1))
-    rows[:n_lab, :d] = labels[labeled, None] * terminals[labeled]
+    np.multiply(labels[labeled, None], obs[last[labeled]], out=rows[:n_lab, :d])
     rows[:n_lab, d] = labels[labeled]
-    # subject j's step k >= 1 goes to row before[j] + k: its steps in visit order
-    before = n_lab + panel.offsets[:-1] - np.arange(panel.n_subjects) - 1
-    for has, k, step in panel.visit_steps():
-        rows[before[has] + k, :d] = step
+    # each subject's steps x_k - x_(k-1) in visit order, subject after subject:
+    # row i + 1 minus row i for each i but a subject's last, in row blocks so
+    # that no temporary is matrix-sized
+    steps = np.delete(np.arange(len(obs) - 1), last[:-1])
+    for a in range(0, len(steps), _BLOCK_ROWS):
+        i = steps[a:a + _BLOCK_ROWS]
+        np.subtract(obs[i + 1], obs[i], out=rows[n_lab + a:n_lab + a + len(i), :d])
     weights = np.full(n_rows, hyper.alpha, dtype=float)
     weights[:n_lab] = hyper.beta
     quad = np.eye(d + 1)
     quad[d, d] = 0.0
     for label in (POSITIVE, NEGATIVE):
-        members = terminals[labels == label]
+        members = obs[last[labels == label]]
         if len(members):
             centered = members - members.mean(axis=0)
             quad[:d, :d] += (hyper.lambda_var / len(members)) * (centered.T @ centered)

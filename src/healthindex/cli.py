@@ -97,14 +97,13 @@ def _cmd_train(args) -> int:
     panel = load_panel(args.panel)
     if args.no_standardize:
         standardization = Standardization.identity(panel.d)
-        train_panel = panel
     else:
         standardization = fit_standardization(panel)
-        train_panel = apply_standardization(panel, standardization)
+        panel = apply_standardization(panel, standardization)  # frees the raw matrix
 
     if args.method == "uqchi":
         _, solution, problem = harness.train_uqchi(
-            train_panel, args.c, tol=args.tol, max_iter=args.max_iter
+            panel, args.c, tol=args.tol, max_iter=args.max_iter
         )
         payload = med_core.model_payload(
             problem, solution, standardization_dict=standardization.to_dict()
@@ -115,7 +114,7 @@ def _cmd_train(args) -> int:
         )
     else:
         model = chi_baseline.chi_train(
-            train_panel, hyper, steps=args.steps, step_size=args.step_size
+            panel, hyper, steps=args.steps, step_size=args.step_size
         )
         payload = chi_baseline.model_payload(
             model, hyper, standardization_dict=standardization.to_dict()
@@ -159,20 +158,19 @@ def _cmd_predict(args) -> int:
         raise DimensionMismatch(
             f"model {args.model} has d={model.d}, panel {args.panel} has d={panel.d}"
         )
-    scored = panel
     if payload.get("standardization"):
         standardization = Standardization.from_dict(payload["standardization"])
         if not standardization.is_identity:
-            scored = apply_standardization(panel, standardization)
+            panel = apply_standardization(panel, standardization)  # frees the raw matrix
 
     if kind == "med":
-        preds = predictor.predict_panel(model, scored)
+        preds = predictor.predict_panel(model, panel)
         if args.reject_rate is not None:
             preds = predictor.reject_by_rate(preds, args.reject_rate)
         elif args.reject_threshold is not None:
             preds = predictor.reject_by_threshold(preds, args.reject_threshold)
     else:
-        preds = chi_baseline.chi_predict_panel(model, scored)
+        preds = chi_baseline.chi_predict_panel(model, panel)
     predictor.write_predictions(preds, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

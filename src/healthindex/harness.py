@@ -329,7 +329,8 @@ def _uqchi_cell(
     c_value: float | None,
 ) -> list[tuple[float | None, int, float]]:
     """(accuracy, abstained, chosen_c) per rejection rate for one c cell;
-    ``c_value=None`` cross-validates c on the training split."""
+    ``c_value=None`` cross-validates c on the training split. With no scored
+    subject every rate logs (None, 0, chosen_c), as the chi cell does."""
     if c_value is None:
         chosen_c = cross_validate_c(
             train_s,
@@ -345,6 +346,8 @@ def _uqchi_cell(
         train_s, chosen_c, tol=spec.solver_tol, max_iter=spec.solver_max_iter
     )
     preds = predict_panel(posterior, test_s).subset(scored)
+    if not len(preds):
+        return [(None, 0, chosen_c)] * len(spec.rejection_rates)
     results = [_score(reject_by_rate(preds, rate), truth) for rate in spec.rejection_rates]
     return [(result.accuracy, result.n_abstained, chosen_c) for result in results]
 

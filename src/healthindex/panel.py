@@ -14,7 +14,8 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, replace
-from itertools import compress
+from functools import partial
+from itertools import compress, islice
 from pathlib import Path
 from typing import Mapping
 
@@ -307,6 +308,9 @@ def save_standardization(standardization: Standardization, path) -> None:
 # comment character, since a subject id may start with "#"; records come back
 # in a 1-d structured array
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
+# records per np.loadtxt call in _column_rows: beside the feature matrix, a
+# load holds one chunk's structured array
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -383,22 +387,40 @@ def _subject_labels(sids, labels) -> dict[str, int | None]:
 
 
 def _column_rows(path, layout: _Layout):
-    """((id, time) pairs, labels, features) of every data row, read in one
-    np.loadtxt pass over every column; None when the file needs
-    ``_scanned_rows``: a cell loadtxt or a key check refuses, or a row whose
-    cell count differs from the header's. The key cells are read as Python
-    str objects (dtype=object): a numpy str array would drop a trailing NUL.
+    """((id, time) pairs, labels, features) of every data row; None when the
+    file needs ``_scanned_rows``: a cell loadtxt or a key check refuses, a
+    row whose cell count differs from the header's, or more records than LF
+    line ends plus one (lines ended by a lone CR). Each np.loadtxt call
+    reads ``_CHUNK_ROWS`` whole records from one line iterator, also records
+    whose quoted cells span lines, into a matrix with a row per line end,
+    cut to the records read. The key cells are read as Python str objects
+    (dtype=object): a numpy str array would drop a trailing NUL.
     """
-    dtype = [("", object if i in layout.keys else float) for i in range(layout.width)]
-    try:
-        rows = _loadtxt(path, layout, dtype)
-        columns = [rows[name] for name in rows.dtype.names]
-        sids, times, tokens = (columns[i].tolist() for i in layout.keys)
-        keys = [_parse_id_and_time(path, None, sid, t) for sid, t in zip(sids, times)]
-        labels = [_parse_label(token, sid) for token, (sid, _) in zip(tokens, keys)]
-    except ValueError:
-        return None
-    return keys, labels, np.stack([columns[i] for i in layout.features], axis=1)
+    names = [f"f{i}" for i in range(layout.width)]
+    dtype = [(name, object if i in layout.keys else float) for i, name in enumerate(names)]
+    with open(path, "rb") as raw:
+        n_lines = 1 + sum(block.count(b"\n") for block in iter(partial(raw.read, 1 << 20), b""))
+    features = np.empty((max(n_lines - layout.header_lines, 0), len(layout.features)))
+    keys, labels, n = [], [], 0
+    with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows, or a blank line
+        next(islice(fh, layout.header_lines, layout.header_lines), None)
+        try:
+            while len(rows := np.loadtxt(fh, dtype=dtype, max_rows=_CHUNK_ROWS, **_LOADTXT)):
+                if n + len(rows) > len(features):
+                    return None
+                for j, i in enumerate(layout.features):
+                    features[n:n + len(rows), j] = rows[names[i]]
+                sids, times, tokens = (rows[names[i]].tolist() for i in layout.keys)
+                chunk = [_parse_id_and_time(path, None, sid, t) for sid, t in zip(sids, times)]
+                labels += [_parse_label(token, sid) for token, (sid, _) in zip(tokens, chunk)]
+                keys += chunk
+                n += len(rows)
+        except ValueError:
+            return None
+    # no view of the matrix is left; a profiler's call hook fails refcheck
+    features.resize((n, len(layout.features)), refcheck=False)
+    return keys, labels, features
 
 
 def _scanned_rows(path, layout: _Layout):
@@ -446,10 +468,13 @@ def load_panel(path) -> LongitudinalPanel:
     non-finite features and ragged rows are rejected; a bad row's error
     names its line.
 
-    Every column is parsed in one np.loadtxt pass. A file that needs more
-    (rows of blank cells, a number such as ``1_0`` that float() reads and
-    loadtxt does not, or any bad row) is read again row by row, which gives
-    the same panel or the row's error.
+    Every column is parsed by np.loadtxt, a chunk of records at a time,
+    into one feature matrix, which is gathered into subject/time order only
+    when its rows are not in that order already (write_panel's are). A file
+    that needs more (rows of blank cells, a number such as ``1_0`` that
+    float() reads and loadtxt does not, line ends that are a lone CR, or any
+    bad row) is read again row by row, which gives the same panel or the
+    row's error.
     """
     layout = _layout(path)
     keys, labels, features = _column_rows(path, layout) or _scanned_rows(path, layout)
@@ -472,7 +497,7 @@ def load_panel(path) -> LongitudinalPanel:
         tuple(ids),
         np.flatnonzero(np.diff(codes, prepend=-1, append=len(ids))),
         times,
-        features[order],
+        features[order] if np.any(order[1:] < order[:-1]) else features,
         [label or 0 for label in subject_labels.values()],
     )
 

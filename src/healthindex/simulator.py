@@ -84,13 +84,19 @@ def _generate(config: SimConfig):
 
     ids = tuple(f"s{j:0{width}d}" for j in range(1, total + 1))
     labels = np.repeat([NEGATIVE, POSITIVE], [n_normal, n_diseased])
-    blocks = []
+    # visits are drawn into one matrix with visits_max rows per subject
+    observations = np.empty((total * config.visits_max, config.d))
+    counts, rows = [], 0
     for class_label in labels.tolist():
         n_visits = int(rng.integers(config.visits_min, config.visits_max + 1))
-        x = rng.standard_normal((n_visits, config.d)) * sigmas
+        x = rng.standard_normal(out=observations[rows:rows + n_visits])
+        x *= sigmas
         if class_label == POSITIVE and k > 0:
             x[:, :k] += delta * np.arange(n_visits)[:, None]
-        blocks.append(x)
+        counts.append(n_visits)
+        rows += n_visits
+    del x  # no view is left; a profiler's call hook fails refcheck
+    observations.resize((rows, config.d), refcheck=False)
     truth = dict(zip(ids, labels.tolist()))
 
     # hide labels outside a floor(fraction * class size) observed subset per class
@@ -98,13 +104,12 @@ def _generate(config: SimConfig):
     for offset, count in ((0, n_normal), (n_normal, n_diseased)):
         n_observed = int(np.floor(config.label_observed_fraction * count))
         observed[offset + rng.choice(count, size=n_observed, replace=False)] = True
-    counts = [x.shape[0] for x in blocks]
     offsets = np.cumsum([0] + counts)
     panel = LongitudinalPanel(
         ids,
         offsets,
         np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts) + 1,
-        np.vstack(blocks),
+        observations,
         np.where(observed, labels, 0),
     )
     return panel, truth, sigmas

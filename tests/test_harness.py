@@ -404,6 +404,23 @@ class TestRunPipeline:
             assert n_scored < test.n_subjects
             assert run["abstained"] == int(np.floor(run["rejection_rate"] * n_scored))
 
+    def test_no_scored_test_subject_logs_no_accuracy(self, tmp_path):
+        """A split whose test side holds no labeled subject logs accuracy
+        None and 0 abstained for both methods, with no error."""
+        from healthindex.simulator import simulate_to_files
+
+        config = SimConfig(
+            d=4, n_per_class=5, informative_k=2, label_observed_fraction=0.2, seed=1
+        )
+        path = tmp_path / "panel.csv"
+        simulate_to_files(config, path)
+        spec = tiny_spec(sim=None, panel_csv=str(path), n_seeds=6)
+        first = [r for r in run_pipeline(spec).runs if r["seed_index"] == 0]
+        assert {r["method"] for r in first} == {"uqchi", "chi"}
+        for run in first:
+            assert (run["error"], run["accuracy"], run["abstained"]) == (None, None, 0)
+        assert [r["chosen_c"] for r in first if r["method"] == "uqchi"] == [1.5, 1.5]
+
     @pytest.mark.parametrize("source", ["csv", "sim"])
     def test_each_source_read_once(self, tmp_path, monkeypatch, source):
         """The CSV is read once per sweep and each seed's panel simulated

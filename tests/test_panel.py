@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from healthindex import panel as panel_module
 from healthindex.errors import (
     ConflictingLabels,
     DimensionMismatch,
@@ -324,6 +325,69 @@ def test_edge_files(tmp_path, text, panel, labels):
             load_observed_labels(path)
     else:
         assert load_observed_labels(path) == labels
+
+
+# the edge files plus multi-line quoted ids, CRLF with blank rows, ragged and
+# long rows, and rows out of subject/time order
+_CHUNK_FILES = {name: text.encode() for name, (text, _, _) in _EDGE_FILES.items()} | {
+    "ids as written": (
+        'subject_id,t,label,f1\n"a,b",1,1,0.5\n"say ""hi""",1,,1.5\n#c,1,-1,2.5\n'
+        ' d,1,,3.5\n"e\r\nf",1,,4.5\n"\r\n\ng\r",2,1,5.5\ng\0,1,1,6.5\n'
+    ).encode(),
+    "last-column id spanning lines that read as rows": (
+        't,label,f1,subject_id\n1,1,0.5,"a\n2,1,0.7,b\n3,1,0.9,c"\n1,-1,0.1,d\n'
+    ).encode(),
+    "crlf with blank rows": (
+        b"subject_id,t,label,f1,f2\r\n\r\na,1,1,0.5,1.5\r\n\r\n\r\n"
+        b"a,2,,2.5,3.5\r\nb,1,,1.0,1.0\r\n\r\n"
+    ),
+    "crlf with rows of blank cells": (
+        b"subject_id,t,label,f1,f2\r\na,1,1,0.5,1.5\r\n,,,,\r\n   \r\na,2,,2.5,3.5\r\n"
+    ),
+    "short row": b"subject_id,t,label,f1,f2\na,1,1,0.0,1.0\n\na,2,1,0.0\n",
+    "long row": b'subject_id,t,label,f1,f2\na,1,1,0.0,1.0\n\n"s,t",1,1,0.0,1.0,"2,0"\n',
+    "rows out of order": b"subject_id,t,label,f1\nb,2,,2.0\na,3,1,3.0\nb,1,,1.0\na,1,1,1.0\na,2,,2.0\n",
+}
+
+
+def _load_outcome(path):
+    """load_panel's arrays or error, and whether the column pass read the file."""
+    try:
+        columns = panel_module._column_rows(path, panel_module._layout(path)) is not None
+    except ValueError:
+        columns = None
+    try:
+        got = load_panel(path)
+    except ValueError as exc:
+        return columns, type(exc), str(exc)
+    arrays = (got.offsets, got.times, got.observations, got.labels)
+    return columns, got.subject_ids, *(a.tolist() for a in arrays)
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+@pytest.mark.parametrize("data", _CHUNK_FILES.values(), ids=list(_CHUNK_FILES))
+def test_chunk_boundaries(tmp_path, monkeypatch, data, chunk):
+    """np.loadtxt chunks of one or two records give the same panel or error,
+    by the same pass, as a single chunk: a chunk ends after a whole record,
+    also when a quoted cell spans lines."""
+    path = tmp_path / "panel.csv"
+    path.write_bytes(data)
+    whole = _load_outcome(path)
+    monkeypatch.setattr(panel_module, "_CHUNK_ROWS", chunk)
+    assert _load_outcome(path) == whole
+
+
+@pytest.mark.parametrize("chunk", [1, 2, panel_module._CHUNK_ROWS])
+def test_rows_out_of_order_come_back_sorted(tmp_path, monkeypatch, chunk):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(_CHUNK_FILES["rows out of order"])
+    monkeypatch.setattr(panel_module, "_CHUNK_ROWS", chunk)
+    got = load_panel(path)
+    assert got.subject_ids == ("b", "a")
+    np.testing.assert_array_equal(got.offsets, [0, 2, 5])
+    np.testing.assert_array_equal(got.times, [1, 2, 1, 2, 3])
+    np.testing.assert_array_equal(got.observations, [[1.0], [2.0], [1.0], [2.0], [3.0]])
+    np.testing.assert_array_equal(got.labels, [0, 1])
 
 
 class TestSeriesValidation:
