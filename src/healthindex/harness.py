@@ -12,6 +12,7 @@ computed from it.
 from __future__ import annotations
 
 import json
+import logging
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -44,6 +45,8 @@ _CV_SEED_OFFSET = 900_000
 
 # the run-log fields that identify a result-table cell, in ResultRow order
 _KEY_FIELDS = ("method", "label_ratio", "train_ratio", "rejection_rate", "c")
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +139,18 @@ def cross_validate_c(
     single holdout (with a warning), and with fewer than two it just returns
     the smallest candidate.
 
-    The loop is c-major over a batch of folds. A subject's aggregate row
-    depends on neither the fold nor c, so the aggregate matrix is built once
-    and fold f trains on the rows its keep mask leaves in. The grid is solved
-    in increasing c, each c by one ``solve_folds`` call: the folds with more
-    training subjects than features share one batched potential presolve,
-    then each fold's lambda-space loop certifies its own solution. Each fold
-    is warm-started from its previous optimum scaled by (1 - 1/c) /
-    (1 - 1/c_prev): stationarity 1 - 1/(c - lam_n) = a_n . v makes lam
-    proportional to 1 - 1/c when lam << c. A previous c <= 1 gives no usable
-    scale, so that c starts cold. A fold scores the sign of the
-    posterior-mean index at each held-out terminal visit, ties to +1 as in
-    ``predictor.predict``.
+    Each c is one batched computation over the (F, N) fold keep masks. A
+    subject's aggregate row depends on neither the fold nor c, so the
+    aggregate matrix is built once. The grid is solved in increasing c, each
+    c by one ``solve_folds`` call over every fold, warm-started from the
+    previous optimum scaled by (1 - 1/c) / (1 - 1/c_prev): stationarity
+    1 - 1/(c - lam_n) = a_n . v makes lam proportional to 1 - 1/c when
+    lam << c. After a c <= 1 the next c starts cold. The folds' posterior
+    means are one product lam @ A; a fold's accuracy is its count of correct
+    posterior-mean index signs at held-out terminal visits (ties to +1, as
+    ``predictor.predict``) over its held-out size. With DEBUG logging on,
+    one record per call gives every c's fold scores and mean, batched
+    lambda-loop iterations and total fold steps, and the chosen c.
     """
     Range(2).check("folds", folds)
     grid = sorted(set(float(c) for c in c_grid))
@@ -161,25 +164,32 @@ def cross_validate_c(
 
     matrix = aggregates(train_panel)
     terminals = train_panel.terminals
-    heldouts = _fold_sets(labeled, folds, seed)
-    keep = np.ones((len(heldouts), len(labels)), dtype=bool)
-    for rows, heldout_rows in zip(keep, heldouts):
-        rows[heldout_rows] = False
-    scores = []
-    lams = c_prev = None
+    fold_rows = _fold_sets(labeled, folds, seed)
+    heldout = np.zeros((len(fold_rows), len(labels)), dtype=bool)
+    for rows, heldout_rows in zip(heldout, fold_rows):
+        rows[heldout_rows] = True
+    trace = []
+    lam = c_prev = None
     for c in grid:
-        starts = None
-        if lams is not None and c_prev > 1.0:
-            starts = [lam * ((1.0 - 1.0 / c) / (1.0 - 1.0 / c_prev)) for lam in lams]
-        solved = solve_folds(DualProblem(matrix, c), keep, starts, tol=tol, max_iter=max_iter)
-        fold_scores = []
-        for (problem, solution), rows in zip(solved, keep):
-            mean = med_core.posterior(solution, problem).mean
-            predicted = np.where(terminals[~rows] @ mean >= 0.0, 1, -1)
-            fold_scores.append(float(np.mean(predicted == labels[~rows])))
-        scores.append(float(np.mean(fold_scores)))
-        lams, c_prev = [solution.lam for _, solution in solved], c
-    return grid[int(np.argmax(scores))]
+        start = None
+        if lam is not None and c_prev > 1.0:
+            start = lam * ((1.0 - 1.0 / c) / (1.0 - 1.0 / c_prev))
+        solved = solve_folds(DualProblem(matrix, c), ~heldout, start, tol=tol, max_iter=max_iter)
+        signs = np.where(terminals @ (solved.lam @ matrix).T >= 0.0, 1, -1)
+        fold_scores = ((signs == labels[:, None]) & heldout.T).sum(axis=0) / heldout.sum(axis=1)
+        trace.append((c, fold_scores, solved.iterations))
+        lam, c_prev = solved.lam, c
+    scores = [float(np.mean(fold_scores)) for _, fold_scores, _ in trace]
+    chosen = grid[int(np.argmax(scores))]
+    if logger.isEnabledFor(logging.DEBUG):
+        record = [
+            dict(c=c, fold_scores=fold_scores.tolist(), mean=score, fold_steps=int(steps.sum()),
+                 lambda_loop_iterations=int(steps.max()))
+            for (c, fold_scores, steps), score in zip(trace, scores)
+        ]
+        extra = {"cv_grid": record, "chosen_c": chosen}
+        logger.debug("cross_validate_c chose c=%r over %s", chosen, record, extra=extra)
+    return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ over the box 0 <= lam_n < c, where a_n is the per-subject aggregate vector
 and c is the rate of the exponential margin prior. J is smooth and strictly
 concave on the open box (the log barrier diverges at lam_n = c), so the
 optimum is unique and certified by the projected-gradient KKT conditions.
-The solver runs one projected Newton loop over lam: one Newton system per
-step on a diagonally scaled epsilon-active set, and an Armijo search along
-the projection arc; it is warm-started from an equivalent d-dimensional
-strongly convex problem when N > d, or from a caller's multipliers. The
-cross-validation folds of one c solve that d-dimensional problem as one
-batch (``solve_folds``).
+The solver runs one projected Newton loop over a batch of row subsets
+(folds) of one problem, lam holding one row per fold: one batched solve of
+each fold's Newton system on its diagonally scaled epsilon-active set per
+step, and an Armijo search along each fold's projection arc. A fold with
+more rows than d is warm-started from an equivalent d-dimensional strongly
+convex problem (one batched presolve), or from a caller's multipliers.
+``solve_dual`` is the batch of one fold that keeps every row.
 The weight posterior under a standard normal prior is N(v(lam*), I).
 """
 
@@ -176,10 +177,8 @@ def dual_gradient(lam: Sequence[float], problem: DualProblem) -> np.ndarray:
 
 def projected_gradient(lam: np.ndarray, grad: np.ndarray, upper: float) -> np.ndarray:
     """Gradient with components clipped where the box blocks ascent."""
-    pg = grad.copy()
-    pg[(lam <= 0.0) & (grad < 0.0)] = 0.0
-    pg[(lam >= upper) & (grad > 0.0)] = 0.0
-    return pg
+    blocked = ((lam <= 0.0) & (grad < 0.0)) | ((lam >= upper) & (grad > 0.0))
+    return np.where(blocked, 0.0, grad)
 
 
 def _presolve_folds(
@@ -345,171 +344,218 @@ def solve_dual(
     Exits once that norm reaches ``tol``, which certifies the KKT conditions
     componentwise; otherwise raises ``NonConvergence`` carrying the last
     iterate. ``iterations`` counts accepted steps. Deterministic. This is
-    ``solve_folds`` with one fold that keeps every row.
+    ``solve_folds`` on a batch of one fold that keeps every row.
     """
     keep = np.ones((1, problem.n_subjects), dtype=bool)
-    return solve_folds(problem, keep, [start], tol=tol, max_iter=max_iter)[0][1]
+    starts = None if start is None else np.asarray(start, dtype=float)[None]
+    folds = solve_folds(problem, keep, starts, tol=tol, max_iter=max_iter)
+    objective, grad_norm, iterations = folds.objective[0], folds.grad_norm[0], folds.iterations[0]
+    return DualSolution(folds.lam[0], float(objective), float(grad_norm), int(iterations), True)
+
+
+@dataclass(frozen=True)
+class FoldSolutions:
+    """Certified multipliers of F folds of one problem, one row per fold:
+    ``lam`` (F, N) is zero on each fold's held-out rows; ``objective``,
+    ``grad_norm`` and ``iterations`` (accepted lambda-loop steps) are (F,)."""
+
+    lam: np.ndarray
+    objective: np.ndarray
+    grad_norm: np.ndarray
+    iterations: np.ndarray
 
 
 def solve_folds(
     problem: DualProblem,
     keep: np.ndarray,
-    starts: Sequence[Sequence[float] | None] | None = None,
+    start: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> list[tuple[DualProblem, DualSolution]]:
-    """``solve_dual`` on F row subsets of one problem, as cross-validation
-    needs them: fold f keeps the rows where the (F, N) mask ``keep[f]`` is
-    True and starts from ``starts[f]`` (length ``keep[f].sum()``) or cold.
+) -> FoldSolutions:
+    """``solve_dual`` on F row subsets of one problem, as one batch: fold f
+    keeps the rows where the (F, N) mask ``keep[f]`` is True and starts from
+    row f of ``start`` (F, N), clipped into the box, or cold.
 
-    The folds with more rows than d share one batched potential presolve
-    over the full aggregate matrix; then each fold's own lambda-space loop
-    certifies it. Returns each fold's problem and solution in fold order, or
-    raises the first fold's failure.
+    The folds with more kept rows than d share one batched potential
+    presolve. Then one lambda loop steps every fold not yet certified, lam
+    of shape (F, N); a held-out row has the box [0, 0], so it stays at 0.
+    Each fold keeps its own epsilon-active set, arc search and halvings,
+    projected-gradient fallback arc, step count and certificate; a certified
+    fold stops moving. One batched solve per step serves the moving folds:
+    when N <= d, the Newton systems on each fold's free coordinates, read
+    from the Gram matrix and padded to the widest free set with identity
+    rows; when N > d, their (d, d) Woodbury cores. Raises ``NonConvergence``
+    for the first uncertified fold in fold order, carrying its partial
+    ``DualSolution`` over its kept rows.
     """
     GT_ZERO.check("tol", tol)
     GE_ZERO.check("max_iter", max_iter)
-    keep = np.asarray(keep, dtype=bool)
-    if keep.ndim != 2 or keep.shape[1] != problem.n_subjects:
-        raise DimensionMismatch(
-            f"keep has shape {keep.shape}, expected (F, {problem.n_subjects})"
-        )
-    starts = [None] * len(keep) if starts is None else list(starts)
-    if len(starts) != len(keep):
-        raise DimensionMismatch(f"{len(starts)} starts for {len(keep)} folds")
-    folds, firsts = [], []
-    for rows, start in zip(keep, starts):
-        fold = problem if rows.all() else DualProblem(problem.aggregates[rows], problem.c)
-        if not np.any(fold.aggregates) and fold.c <= 1.0:
-            raise DegenerateProblem(
-                "all aggregates are zero and c <= 1: maximizer is the boundary point "
-                "lambda = 0"
-            )
-        if start is not None:
-            start = np.clip(np.asarray(start, dtype=float), 0.0, fold.box_upper)
-            if start.shape != (fold.n_subjects,):
-                raise DimensionMismatch(
-                    f"start has shape {start.shape}, expected ({fold.n_subjects},)"
-                )
-        folds.append(fold)
-        firsts.append(start)
-
-    tall = [
-        f for f, fold in enumerate(folds) if fold.d < fold.n_subjects and np.any(fold.aggregates)
-    ]
-    if tall:
-        v0 = [
-            np.zeros(problem.d) if firsts[f] is None else folds[f].aggregates.T @ firsts[f]
-            for f in tall
-        ]
-        _, lam = _presolve_folds(problem.aggregates, keep[tall], problem.c, np.array(v0))
-        for f, fold_lam in zip(tall, lam):
-            firsts[f] = fold_lam[keep[f]]
-    return [(fold, _ascend(fold, lam, tol, max_iter)) for fold, lam in zip(folds, firsts)]
-
-
-def _ascend(
-    problem: DualProblem, lam: np.ndarray | None, tol: float, max_iter: int
-) -> DualSolution:
-    """The lambda-space loop of ``solve_dual`` from ``lam`` (in the box), or
-    from a constant interior point when ``lam`` is None."""
-    upper = problem.box_upper
-    aggs = problem.aggregates
+    aggs, c, upper = problem.aggregates, problem.c, problem.box_upper
     n_subjects, d = aggs.shape
-    row_sq = np.einsum("nd,nd->n", aggs, aggs)
-    edge = 1e-12 * problem.c
+    keep = np.asarray(keep, dtype=bool)
+    if keep.ndim != 2 or keep.shape[1] != n_subjects or not keep.any(axis=1).all():
+        raise DimensionMismatch(
+            f"keep has shape {keep.shape}, expected (F, {n_subjects}) with a kept row per fold"
+        )
+    tall = keep.sum(axis=1) > d
+    if c <= 1.0 or n_subjects > d:
+        signal = (keep & np.any(aggs, axis=1)).any(axis=1)
+        if c <= 1.0 and not signal.all():
+            raise DegenerateProblem(
+                "all aggregates are zero and c <= 1: maximizer is the boundary point lambda = 0"
+            )
+        tall &= signal
+    if start is None:
+        cold = min(0.5, max((c - 1.0) / 2.0, 1e-3), upper / 2.0)
+        lam = np.where(keep, cold, 0.0)
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != keep.shape:
+            raise DimensionMismatch(f"start has shape {start.shape}, expected {keep.shape}")
+        lam = np.where(keep, np.clip(start, 0.0, upper), 0.0)
+    if tall.any():
+        v0 = np.zeros((int(tall.sum()), d)) if start is None else lam[tall] @ aggs
+        lam[tall] = _presolve_folds(aggs, keep[tall], c, v0)[1]
 
-    def newton_direction(lam, grad):
-        """Two-metric Newton step; undamped, as the arc search bounds it.
+    row_sq = np.einsum("nd,nd->n", aggs, aggs)
+    edge = 1e-12 * c
+    if n_subjects <= d:  # the Gram matrix, with a zero row and column N to pad free sets
+        gram = np.zeros((n_subjects + 1, n_subjects + 1))
+        gram[:-1, :-1] = aggs @ aggs.T
+    diagonal = np.arange(d)
+
+    # dual_objective, then dual_gradient and norm(projected_gradient), of
+    # each row, unchecked: the same floats on a fold that keeps every row
+    def objective(lam):
+        v = lam @ aggs
+        return lam.sum(axis=1) + np.log1p(lam / -c).sum(axis=1) - 0.5 * np.vecdot(v, v), v
+
+    def gradient(lam, v, box):
+        grad = 1.0 - 1.0 / (c - lam) - v @ aggs.T
+        pg = projected_gradient(lam, grad, box)
+        return grad, np.sqrt(np.vecdot(pg, pg))
+
+    def newton_direction(lam, grad, box, kept):
+        """Two-metric Newton steps; undamped, as the arc search bounds them.
 
         Coordinates within the diagonally scaled step grad / (1/(c - lam)^2 +
         |a_n|^2) of a bound, pushing outward, keep that diagonal metric; a
-        Newton block on the Hessian of -J (Woodbury form when d < N) couples
-        the rest. A raw gradient step, far longer than lam* on large rows,
-        put interior coordinates in the diagonal set and slowed them."""
-        curvature = 1.0 / (problem.c - lam) ** 2
+        Newton block on the Hessian of -J couples the rest. A raw gradient
+        step, far longer than lam* on large rows, put interior coordinates
+        in the diagonal set and slowed them."""
+        curvature = 1.0 / (c - lam) ** 2
         direction = grad / (curvature + row_sq)
-        displacement = np.clip(lam + direction, 0.0, upper) - lam
-        eps_active = max(edge, min(0.01 * problem.c, float(np.linalg.norm(displacement))))
+        displacement = np.minimum(np.maximum(lam + direction, 0.0), box) - lam
+        eps_active = np.sqrt(np.vecdot(displacement, displacement))
+        eps_active = np.maximum(edge, np.minimum(0.01 * c, eps_active))[:, None]
         near_low = (lam <= eps_active) & (grad < 0.0)
         near_high = (lam >= upper - eps_active) & (grad > 0.0)
-        free = ~(near_low | near_high)
-        if not np.any(free):
+        free = kept & ~(near_low | near_high)
+        width = free.sum(axis=1).max()
+        if not width:
             return direction
-        a_free = aggs[free]
-        curv_free = curvature[free]
-        g_free = grad[free]
         try:
-            if a_free.shape[0] <= d:
-                hessian = a_free @ a_free.T
-                hessian.flat[:: hessian.shape[0] + 1] += curv_free
-                direction[free] = np.linalg.solve(hessian, g_free)
+            if n_subjects <= d:
+                # each fold's free coordinates first: one system per fold, as
+                # wide as the widest free set, identity rows padding the rest
+                order = np.argsort(~free, axis=1, kind="stable")[:, :width]
+                rows = np.arange(len(free))[:, None]
+                sub = free[rows, order]
+                padded = np.where(sub, order, n_subjects)
+                hessian = gram.ravel()[padded[:, :, None] * (n_subjects + 1) + padded[:, None, :]]
+                hessian.reshape(len(free), -1)[:, :: width + 1] += np.where(
+                    sub, curvature[rows, order], 1.0
+                )
+                rhs = np.where(sub, grad[rows, order], 0.0)[:, :, None]
+                newton = np.zeros_like(grad)
+                newton[rows, order] = np.linalg.solve(hessian, rhs)[:, :, 0]
             else:
-                scaled = a_free / curv_free[:, None]
-                core = a_free.T @ scaled
-                core.flat[:: d + 1] += 1.0
-                rhs = scaled.T @ g_free
-                direction[free] = g_free / curv_free - scaled @ np.linalg.solve(core, rhs)
+                scaled = np.zeros(free.shape + (d,))
+                np.divide(aggs, curvature[:, :, None], out=scaled, where=free[:, :, None])
+                core = aggs.T @ scaled
+                core[:, diagonal, diagonal] += 1.0
+                rhs = np.matmul(grad[:, None, :], scaled).transpose(0, 2, 1)
+                newton = grad / curvature - (scaled @ np.linalg.solve(core, rhs))[:, :, 0]
+            return np.where(free, newton, direction)
         except np.linalg.LinAlgError:
-            pass
-        return direction
+            return direction
 
-    # dual_objective/dual_gradient, same floats, unchecked: every iterate is in the box
-    def objective(lam):
-        v = aggs.T @ lam
-        return float(lam.sum() + np.log1p(-lam / problem.c).sum() - 0.5 * v @ v), v
-
-    def gradient_at(lam, v):
-        grad = 1.0 - 1.0 / (problem.c - lam) - aggs @ v
-        return grad, float(np.linalg.norm(projected_gradient(lam, grad, upper)))
-
-    def arc_search(lam, obj, grad, pg_norm, direction):
-        """First accepted point of clip(lam + t * direction), halving t; or None."""
+    def arc_search(lam, obj, grad, pg_norm, box, direction):
+        """The first accepted point of clip(lam + t * direction) of each row,
+        halving t: the rows' new (lam, obj, grad, pg_norm), and a mask of the
+        rows where no point passed, which keep their state."""
         # below this predicted gain the Armijo test compares rounding noise
-        resolution = np.finfo(float).eps / ARMIJO_SIGMA * max(1.0, abs(obj))
-        step = 1.0
+        floor = np.finfo(float).eps / ARMIJO_SIGMA * np.maximum(1.0, np.abs(obj))
+        moved, trying, step = None, np.arange(len(obj)), 1.0
         for _ in range(MAX_HALVINGS):
-            candidate = np.clip(lam + step * direction, 0.0, upper)
-            gain = float(grad @ (candidate - lam))
-            if gain > 0.0:
-                cand_obj, cand_v = objective(candidate)
-                armijo = gain > resolution
-                if not armijo or cand_obj >= obj + ARMIJO_SIGMA * gain:
-                    cand_grad, cand_pg_norm = gradient_at(candidate, cand_v)
-                    if armijo or cand_pg_norm < pg_norm:
-                        return candidate, cand_obj, cand_grad, cand_pg_norm
+            candidate = np.minimum(np.maximum(lam + step * direction, 0.0), box)
+            gain = np.vecdot(grad, candidate - lam)
+            ok = gain > 0.0
+            if ok.any():
+                cand_obj, v = objective(candidate)
+                armijo = gain > floor
+                ok &= ~armijo | (cand_obj >= obj + ARMIJO_SIGMA * gain)
+            if ok.any():
+                cand = cand_obj, *gradient(candidate, v, box)
+                ok &= armijo | (cand[2] < pg_norm)
+                if moved is None and ok.all():
+                    return candidate, *cand, ~ok
+            if ok.any():
+                moved = moved or [x.copy() for x in (lam, obj, grad, pg_norm)]
+                for x, y in zip(moved, (candidate, *cand)):
+                    x[trying[ok]] = y[ok]
+                trying, rest = trying[~ok], ~ok
+                if not trying.size:
+                    break
+                lam, obj, grad, pg_norm, box, direction, floor = (
+                    x[rest] for x in (lam, obj, grad, pg_norm, box, direction, floor)
+                )
             step *= 0.5
-        return None
+        moved = moved or [lam, obj, grad, pg_norm]
+        failed = np.zeros(len(moved[1]), dtype=bool)
+        failed[trying] = True
+        return *moved, failed
 
-    if lam is None:
-        cold = min(0.5, max((problem.c - 1.0) / 2.0, 1e-3), upper / 2.0)
-        lam = np.full(n_subjects, cold)
+    # the state of the folds still stepping (fold numbers ``ids``); each has
+    # taken ``steps`` steps, less one if it is ``stuck``: neither arc had an
+    # acceptable point. A fold leaves, its state copied to ``out``, once it
+    # is certified or stuck or has taken max_iter steps.
+    ids, box, kept = np.arange(len(keep)), np.where(keep, upper, 0.0), keep
     obj, v = objective(lam)
-    grad, pg_norm = gradient_at(lam, v)
-    iterations = 0
+    grad, pg_norm = gradient(lam, v, box)
+    out = [lam.copy(), np.empty(len(keep)), np.empty(len(keep)), np.zeros(len(keep), int)]
+    steps, stuck = 0, np.zeros(len(keep), dtype=bool)
+    while True:
+        leaving = stuck | (pg_norm <= tol) | (steps >= max_iter)
+        if leaving.any():
+            for x, y in zip(out, (lam, obj, pg_norm, steps - stuck)):
+                x[ids[leaving]] = y[leaving]
+            staying = ~leaving
+            if not staying.any():
+                break
+            ids, lam, obj, grad, pg_norm, box, kept = (
+                x[staying] for x in (ids, lam, obj, grad, pg_norm, box, kept)
+            )
+        direction = newton_direction(lam, grad, box, kept)
+        lam, obj, grad, pg_norm, stuck = arc_search(lam, obj, grad, pg_norm, box, direction)
+        if stuck.any():
+            *fallback, still = arc_search(
+                *(x[stuck] for x in (lam, obj, grad, pg_norm, box, grad))
+            )
+            for x, y in zip((lam, obj, grad, pg_norm), fallback):
+                x[stuck] = y
+            stuck[stuck] = still
+        steps += 1
 
-    while pg_norm > tol and iterations < max_iter:
-        accepted = arc_search(lam, obj, grad, pg_norm, newton_direction(lam, grad))
-        accepted = accepted or arc_search(lam, obj, grad, pg_norm, grad)
-        if accepted is None:
-            break
-        lam, obj, grad, pg_norm = accepted
-        iterations += 1
-
-    solution = DualSolution(
-        lam=lam,
-        objective=obj,
-        grad_norm=pg_norm,
-        iterations=iterations,
-        converged=pg_norm <= tol,
-    )
-    if not solution.converged:
+    lam, obj, pg_norm, iterations = out
+    for f in np.flatnonzero(pg_norm > tol):
+        partial = DualSolution(lam[f, keep[f]], obj[f], pg_norm[f], int(iterations[f]), False)
         raise NonConvergence(
-            f"projected gradient norm {pg_norm:.3e} > tol {tol:.3e} after "
-            f"{iterations} iterations",
-            solution=solution,
+            f"projected gradient norm {pg_norm[f]:.3e} > tol {tol:.3e} after "
+            f"{iterations[f]} iterations",
+            solution=partial,
         )
-    return solution
+    return FoldSolutions(lam, obj, pg_norm, iterations)
 
 
 def posterior(

@@ -264,13 +264,32 @@ def aggregates(panel: LongitudinalPanel) -> np.ndarray:
 # standardization
 
 
+# rows of squared deviations per block in fit_standardization
+_STD_BLOCK_ROWS = 256
+
+
 def fit_standardization(panel: LongitudinalPanel) -> Standardization:
     """Per-feature mean and standard deviation over all visits of all subjects.
 
     Constant features get scale 1 so the transform stays invertible.
     """
-    mean = panel.observations.mean(axis=0)
-    scale = panel.observations.std(axis=0)
+    observations = panel.observations
+    mean = observations.mean(axis=0)
+    rows, d = observations.shape
+    if d == 1:  # a one-column sum is pairwise; std's is the reference
+        scale = observations.std(axis=0)
+    else:
+        # std's sum of squared deviations without its (rows, d) temporary:
+        # numpy sums axis 0 row after row, so a block of squared deviations
+        # below the running sum adds up to the same floats
+        block = np.zeros((min(rows, _STD_BLOCK_ROWS) + 1, d))
+        for start in range(0, rows, _STD_BLOCK_ROWS):
+            chunk = observations[start : start + _STD_BLOCK_ROWS]
+            squares = block[1 : len(chunk) + 1]
+            np.subtract(chunk, mean, out=squares)
+            np.multiply(squares, squares, out=squares)
+            block[0] = block[: len(chunk) + 1].sum(axis=0)
+        scale = np.sqrt(block[0] / rows)
     scale = np.where(scale > 0, scale, 1.0)
     return Standardization(mean, scale)
 

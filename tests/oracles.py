@@ -166,6 +166,47 @@ def cross_validate_c_cold(train_panel, c_grid, folds, seed):
     return best_c
 
 
+def cross_validate_c_per_fold(train_panel, c_grid, folds, seed):
+    """Margin-rate CV one fold at a time, as it ran before the folds were
+    batched: (chosen c, mean fold score of each c in increasing order).
+
+    Each fold solves its own problem of kept rows with ``solve_dual``,
+    warm-started from its optimum at the previous c scaled by (1 - 1/c) /
+    (1 - 1/c_prev), or cold after a c <= 1; it builds its posterior and
+    scores its held-out terminal visits with one product per fold.
+    """
+    from healthindex.med_core import DualProblem, posterior, solve_dual
+    from healthindex.panel import aggregates
+
+    grid = sorted(set(float(c) for c in c_grid))
+    labels = train_panel.labels
+    shuffled = np.random.default_rng(seed).permutation(np.flatnonzero(labels))
+    if len(shuffled) < folds:
+        heldouts = [shuffled[: len(shuffled) // 2]]
+    else:
+        heldouts = np.array_split(shuffled, folds)
+    matrix = aggregates(train_panel)
+    terminals = train_panel.terminals
+    scores, lams, c_prev = [], [None] * len(heldouts), None
+    for c in grid:
+        fold_scores = []
+        for f, heldout in enumerate(heldouts):
+            rows = np.ones(len(labels), dtype=bool)
+            rows[heldout] = False
+            problem = DualProblem(matrix[rows], c)
+            start = None
+            if lams[f] is not None and c_prev > 1.0:
+                start = lams[f] * ((1.0 - 1.0 / c) / (1.0 - 1.0 / c_prev))
+            solution = solve_dual(problem, start=start)
+            mean = posterior(solution, problem).mean
+            predicted = np.where(terminals[~rows] @ mean >= 0.0, 1, -1)
+            fold_scores.append(float(np.mean(predicted == labels[~rows])))
+            lams[f] = solution.lam
+        scores.append(float(np.mean(fold_scores)))
+        c_prev = c
+    return grid[int(np.argmax(scores))], scores
+
+
 def chi_design_per_term(panel):
     """The chi objective's blocks, one per term: labeled terminal visits and
     their labels, consecutive-visit differences, and each class's terminal

@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import logging
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import cross_validate_c_cold
+from oracles import cross_validate_c_cold, cross_validate_c_per_fold
 
 from healthindex import harness
 from healthindex.chi_baseline import ChiHyperparams
@@ -176,6 +177,65 @@ class TestCrossValidateC:
             expected.append(cross_validate_c_cold(panel, grid, folds=5, seed=seed))
         assert chosen == expected
         assert len(set(expected)) > 1
+
+    # small panels with no drift signal; 30 subjects in d = 12 train with
+    # N < d, 40 in d = 3 with N > d; a 0.2 label fraction leaves fewer
+    # labeled subjects than folds (one holdout)
+    @pytest.mark.parametrize("d,n_per_class", [(12, 15), (3, 20)])
+    @pytest.mark.parametrize("label_fraction", [1.0, 0.6, 0.2])
+    @pytest.mark.parametrize("grid", [(1.5, 3.0, 100.0), (0.5, 1.0, 2.0, 20.0)])
+    def test_scores_match_per_fold_oracle(self, caplog, d, n_per_class, label_fraction, grid):
+        """Every c's mean fold score, read from the DEBUG record, equals the
+        fold-by-fold loop's exactly, and so does the chosen c; the second
+        grid's c <= 1 solves make the next c start cold."""
+        for seed in range(3):
+            config = SimConfig(
+                d=d,
+                n_per_class=n_per_class,
+                degradation_rate=0.0,
+                informative_k=2,
+                label_observed_fraction=label_fraction,
+                seed=seed,
+            )
+            panel = standardize(simulate(config)[0])
+            caplog.clear()
+            with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, harness.__name__):
+                warnings.simplefilter("ignore")  # c <= 1 and the holdout fallback warn
+                chosen = cross_validate_c(panel, grid, folds=10, seed=seed)
+                expected, scores = cross_validate_c_per_fold(panel, grid, 10, seed)
+            (record,) = caplog.records
+            assert chosen == expected == record.chosen_c
+            assert [row["mean"] for row in record.cv_grid] == scores
+
+    def test_debug_record(self, caplog):
+        """One DEBUG record per call: each c's fold scores and their mean, the
+        batched lambda-loop iterations and the fold steps, and the chosen c."""
+        panel = self.build_panel(seed=5, n=40)
+        grid = (1.5, 5.0, 100.0)
+        with caplog.at_level(logging.DEBUG, harness.__name__):
+            chosen = cross_validate_c(panel, grid, folds=4, seed=0)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG and record.chosen_c == chosen
+        assert [row["c"] for row in record.cv_grid] == list(grid)
+        for row in record.cv_grid:
+            assert len(row["fold_scores"]) == 4
+            assert row["mean"] == float(np.mean(row["fold_scores"]))
+            assert 0 < row["lambda_loop_iterations"] <= row["fold_steps"]
+        assert f"c={chosen!r}" in record.getMessage()
+
+    def test_no_record_without_debug(self, caplog):
+        with caplog.at_level(logging.INFO, harness.__name__):
+            cross_validate_c(self.build_panel(), (1.5, 5.0), folds=3, seed=0)
+        assert not caplog.records
+
+    def test_debug_leaves_the_sweep_outputs(self, caplog, tmp_path):
+        spec = tiny_spec(c_policy="cv", c_grid=(1.5, 5.0), n_seeds=2)
+        with caplog.at_level(logging.DEBUG, harness.__name__):
+            run_pipeline(spec).write(tmp_path / "debug")
+        assert len(caplog.records) == spec.n_seeds
+        run_pipeline(spec).write(tmp_path / "plain")
+        for name in ("results.csv", "runs.jsonl"):
+            assert (tmp_path / "debug" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_zero_terminal_visit_is_scored(self):
         # predict() sends the tie x.v = 0 to +1; CV scores the subject instead of failing

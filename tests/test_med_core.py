@@ -32,6 +32,7 @@ from healthindex.med_core import (
     potential_vector,
     projected_gradient,
     solve_dual,
+    solve_folds,
     _presolve_folds,
     _presolve_potential,
 )
@@ -466,6 +467,75 @@ class TestBatchedPresolve:
             decrement, f_value = _potential_decrement(problem, v_f, lam_f)
             assert decrement <= 2.0 * _decrement_bound(f_value)
         assert len(set(steps)) > 1
+
+
+def _ten_folds(rng, n):
+    keep = np.ones((10, n), dtype=bool)
+    for rows, heldout in zip(keep, np.array_split(rng.permutation(n), 10)):
+        rows[heldout] = False
+    return keep
+
+
+class TestSolveFolds:
+    # N <= d, where the folds take 4 to 34 lambda steps, and N > d, where
+    # they take 0 to 2 after the presolve
+    @pytest.mark.parametrize(
+        "shape,scale,c",
+        [((60, 90), 0.3, 1.5), ((40, 90), 1.0, 100.0), ((150, 20), 1.0, 3.0),
+         ((200, 20), 5.0, 100.0)],
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_folds_match_their_batch_of_one(self, shape, scale, c, warm):
+        """Each masked fold of one batch ends where ``solve_dual`` on its kept
+        rows ends, after as many steps, though the folds certify after
+        different numbers of steps. A fold that kept stepping once certified
+        would drift from its own run and count more steps."""
+        rng = np.random.default_rng(shape[0])
+        agg = rng.normal(size=shape) * scale
+        keep = _ten_folds(rng, shape[0])
+        start = rng.uniform(0.0, 0.5, size=keep.shape) if warm else None
+        batch = solve_folds(DualProblem(agg, c), keep, start)
+        for f, rows in enumerate(keep):
+            fold = DualProblem(agg[rows], c)
+            single = solve_dual(fold, start=None if start is None else start[f, rows])
+            lam = batch.lam[f, rows]
+            assert np.linalg.norm(lam - single.lam) <= 1e-12 * np.linalg.norm(single.lam)
+            assert not np.any(batch.lam[f, ~rows])
+            assert batch.iterations[f] == single.iterations
+            assert batch.grad_norm[f] <= DEFAULT_TOL
+            assert batch.objective[f] == pytest.approx(dual_objective(lam, fold), rel=1e-12)
+        if shape[0] < shape[1]:
+            assert len(set(batch.iterations)) > 1
+
+    def test_first_uncertified_fold_raises(self):
+        """With a step cap some folds reach and others do not, the batch
+        raises for the first fold in fold order that misses its certificate,
+        carrying the partial solution its own run ends with."""
+        rng = np.random.default_rng(40)
+        agg = rng.normal(size=(40, 90))
+        keep = _ten_folds(rng, 40)
+        c = 100.0
+        steps = [solve_dual(DualProblem(agg[rows], c)).iterations for rows in keep]
+        cap = steps[0]
+        first = next(f for f, n in enumerate(steps) if n > cap)
+        assert first > 0
+        with pytest.raises(NonConvergence) as batch_failure:
+            solve_folds(DualProblem(agg, c), keep, max_iter=cap)
+        with pytest.raises(NonConvergence) as own_failure:
+            solve_dual(DualProblem(agg[keep[first]], c), max_iter=cap)
+        got, want = batch_failure.value.solution, own_failure.value.solution
+        assert not got.converged and got.iterations == want.iterations == cap
+        assert np.linalg.norm(got.lam - want.lam) <= 1e-12 * np.linalg.norm(want.lam)
+        assert str(batch_failure.value) == str(own_failure.value)
+
+    def test_keep_and_start_shapes_checked(self):
+        problem = DualProblem(np.ones((4, 2)), c=2.0)
+        with pytest.raises(DimensionMismatch):
+            solve_folds(problem, np.ones((2, 3), dtype=bool))
+        with pytest.raises(DimensionMismatch):
+            solve_folds(problem, np.array([[True] * 4, [False] * 4]))
+        with pytest.raises(DimensionMismatch):
+            solve_folds(problem, np.ones((2, 4), dtype=bool), np.zeros((1, 4)))
 
 
 class TestPosterior:

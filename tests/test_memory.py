@@ -19,7 +19,7 @@ import tracemalloc
 import pytest
 
 from healthindex import cli
-from healthindex.panel import load_panel
+from healthindex.panel import fit_standardization, load_panel
 
 TRAIN = ["--n-per-class", "250", "--d", "90", "--seed", "0"]
 SCORED = ["--n-per-class", "1000", "--d", "90", "--seed", "1", "--label-observed-fraction", "1",
@@ -64,6 +64,14 @@ def test_load_panel_peak(work):
     in subject/time order (1.36)."""
     path = work / "train.csv"
     assert peak_bytes(lambda: load_panel(path)) / nbytes(path) < 1.8
+
+
+def test_fit_standardization_peak(work):
+    """The mean and one block of squared deviations (0.14); ``std`` makes a
+    (rows, d) temporary of deviations (1.04)."""
+    panel = load_panel(work / "train.csv")
+    peak = peak_bytes(lambda: fit_standardization(panel))
+    assert peak / panel.observations.nbytes < 0.3
 
 
 def test_train_chi_peak(work, tmp_path):

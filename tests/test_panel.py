@@ -480,6 +480,16 @@ class TestStandardization:
         np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(stacked.std(axis=0), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("rows,d", [(1, 2), (4, 2), (9, 3), (50, 90), (13, 1), (2000, 5)])
+    def test_scale_is_std_bit_for_bit(self, rows, d, monkeypatch):
+        """The blocks of squared deviations, each summed below the running
+        sum, give the floats of np.std, across block boundaries too."""
+        monkeypatch.setattr(panel_module, "_STD_BLOCK_ROWS", 4)
+        obs = np.random.default_rng(rows * d).normal(size=(rows, d)) * 30.0 + 7.0
+        std = obs.std(axis=0)
+        panel = make_panel(make_series("s", obs))
+        np.testing.assert_array_equal(fit_standardization(panel).scale, np.where(std > 0, std, 1.0))
+
     def test_constant_feature_gets_unit_scale(self):
         panel = make_panel(make_series("s", [[5.0, 1.0], [5.0, 2.0]]))
         std = fit_standardization(panel)
