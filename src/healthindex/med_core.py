@@ -455,28 +455,28 @@ def solve_folds(
         if not width:
             return direction
         try:
-            if n_subjects <= d:
-                # each fold's free coordinates first: one system per fold, as
-                # wide as the widest free set, identity rows padding the rest
-                order = np.argsort(~free, axis=1, kind="stable")[:, :width]
-                rows = np.arange(len(free))[:, None]
-                sub = free[rows, order]
-                padded = np.where(sub, order, n_subjects)
-                hessian = gram.ravel()[padded[:, :, None] * (n_subjects + 1) + padded[:, None, :]]
-                hessian.reshape(len(free), -1)[:, :: width + 1] += np.where(
-                    sub, curvature[rows, order], 1.0
-                )
-                rhs = np.where(sub, grad[rows, order], 0.0)[:, :, None]
-                newton = np.zeros_like(grad)
-                newton[rows, order] = np.linalg.solve(hessian, rhs)[:, :, 0]
-            else:
+            if n_subjects > d:  # Woodbury form; a row outside the free set is 0 in ``scaled``
                 scaled = np.zeros(free.shape + (d,))
                 np.divide(aggs, curvature[:, :, None], out=scaled, where=free[:, :, None])
                 core = aggs.T @ scaled
                 core[:, diagonal, diagonal] += 1.0
                 rhs = np.matmul(grad[:, None, :], scaled).transpose(0, 2, 1)
                 newton = grad / curvature - (scaled @ np.linalg.solve(core, rhs))[:, :, 0]
-            return np.where(free, newton, direction)
+                return np.where(free, newton, direction)
+            # each fold's free coordinates first: one system per fold, as wide
+            # as the widest free set, identity rows padding the rest
+            order = np.argsort(~free, axis=1, kind="stable")[:, :width]
+            rows = np.arange(len(free))[:, None]
+            sub = free[rows, order]
+            padded = np.where(sub, order, n_subjects)
+            hessian = gram.ravel()[padded[:, :, None] * (n_subjects + 1) + padded[:, None, :]]
+            hessian.reshape(len(free), -1)[:, :: width + 1] += np.where(
+                sub, curvature[rows, order], 1.0
+            )
+            rhs = np.where(sub, grad[rows, order], 0.0)[:, :, None]
+            newton = np.linalg.solve(hessian, rhs)[:, :, 0]
+            direction[rows, order] = np.where(sub, newton, direction[rows, order])
+            return direction
         except np.linalg.LinAlgError:
             return direction
 

@@ -248,15 +248,17 @@ def aggregates(panel: LongitudinalPanel) -> np.ndarray:
     reach it, which telescopes to terminal - first observation.
     Single-visit subjects contribute no monotonicity term.
     """
-    rows = panel.labels[:, None] * panel.terminals
+    rows = panel.terminals
+    rows *= panel.labels[:, None]
     summed = np.empty_like(rows)
     for has, k, step in panel.visit_steps():
         if k == 1:
             summed[has] = step
         else:
             summed[has] += step
+        del step  # freed before the next one is gathered
     multi = np.diff(panel.offsets) > 1
-    rows[multi] += summed[multi]
+    np.add(rows, summed, out=rows, where=multi[:, None])
     return rows
 
 
