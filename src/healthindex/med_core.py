@@ -398,7 +398,7 @@ def solve_folds(
             f"keep has shape {keep.shape}, expected (F, {n_subjects}) with a kept row per fold"
         )
     tall = keep.sum(axis=1) > d
-    if c <= 1.0 or n_subjects > d:
+    if c <= 1.0 or n_subjects > d:  # only then does a fold's zero-row test matter
         signal = (keep & np.any(aggs, axis=1)).any(axis=1)
         if c <= 1.0 and not signal.all():
             raise DegenerateProblem(
