@@ -15,7 +15,9 @@ from pathlib import Path
 from . import chi_baseline, harness, med_core, predictor
 from .chi_baseline import ChiHyperparams
 from .errors import GE_ZERO, GT_ZERO, DimensionMismatch, NonConvergence, NonFiniteObjective, Range
-from .panel import (
+# apply_standardization stays importable from here because perfbench's tracer
+# wraps cli.apply_standardization; load_panel standardizes the CLI's panels
+from .panel import (  # noqa: F401
     Standardization,
     apply_standardization,
     fit_standardization,
@@ -94,12 +96,9 @@ def _cmd_train(args) -> int:
         hyper = ChiHyperparams(**_fields_given(ChiHyperparams, args))
         Range(1).check("steps", args.steps)
         GT_ZERO.check("step_size", args.step_size)
-    panel = load_panel(args.panel)
-    if args.no_standardize:
-        standardization = Standardization.identity(panel.d)
-    else:
-        standardization = fit_standardization(panel)
-        panel = apply_standardization(panel, standardization)  # frees the raw matrix
+    # fitted on the raw rows, then applied to the same matrix in place
+    panel = load_panel(args.panel, None if args.no_standardize else fit_standardization)
+    standardization = panel.standardization
 
     if args.method == "uqchi":
         _, solution, problem = harness.train_uqchi(
@@ -153,15 +152,16 @@ def _cmd_predict(args) -> int:
         model = chi_baseline.model_from_payload(payload)
     else:
         raise ValueError(f"unknown model kind {kind!r} in {args.model}")
-    panel = load_panel(args.panel)
-    if model.d != panel.d:
-        raise DimensionMismatch(
-            f"model {args.model} has d={model.d}, panel {args.panel} has d={panel.d}"
-        )
-    if payload.get("standardization"):
-        standardization = Standardization.from_dict(payload["standardization"])
-        if not standardization.is_identity:
-            panel = apply_standardization(panel, standardization)  # frees the raw matrix
+
+    def model_standardization(raw):
+        if model.d != raw.d:
+            raise DimensionMismatch(
+                f"model {args.model} has d={model.d}, panel {args.panel} has d={raw.d}"
+            )
+        stored = payload.get("standardization")
+        return Standardization.from_dict(stored) if stored else None
+
+    panel = load_panel(args.panel, model_standardization)  # standardized in place
 
     if kind == "med":
         preds = predictor.predict_panel(model, panel)

@@ -228,24 +228,25 @@ def _presolve_folds(
     diagonal = np.arange(aggs.shape[1])
 
     def multipliers(t, kept):
-        return np.clip(np.where(kept & (t < knee), c - 1.0 / (1.0 - t), 0.0), 0.0, upper)
+        lam = np.where(kept & (t < knee), c - 1.0 / (1.0 - t), 0.0)
+        return np.minimum(np.maximum(lam, 0.0), upper)
 
     def evaluate(v, folds):
         """F, t = A v and lam*(t) of ``folds`` at their points v."""
         t = v @ aggs.T
         lam = multipliers(t, keep[folds])
         barrier = np.where(lam > 0.0, lam + np.log1p(-lam / c), 0.0)
-        return 0.5 * np.sum(v * v, axis=1) + np.sum(barrier - lam * t, axis=1), t, lam
+        return 0.5 * (v * v).sum(axis=1) + (barrier - lam * t).sum(axis=1), t, lam
 
     def ray_search(kept, v, t, step_dir, decrement):
         """Step length in (0, 1] along -step_dir for each fold."""
         q = step_dir @ aggs.T
-        pp, pv = np.sum(step_dir * step_dir, axis=1), np.sum(step_dir * v, axis=1)
+        pp, pv = (step_dir * step_dir).sum(axis=1), (step_dir * v).sum(axis=1)
         tol = RAY_TOL * decrement
 
         def slope(s):
             lam = multipliers(t - s[:, None] * q, kept)
-            return s * pp - pv + np.sum(lam * q, axis=1)
+            return s * pp - pv + (lam * q).sum(axis=1)
 
         s, hi, lo = np.ones(len(v)), np.ones(len(v)), np.zeros(len(v))
         g_lo, g_hi = -decrement, slope(s)
@@ -286,9 +287,9 @@ def _presolve_folds(
                 step_dir = np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 step_dir = grad
-            decrement = np.sum(grad * step_dir, axis=1)
+            decrement = (grad * step_dir).sum(axis=1)
             resolution = floor * np.maximum(1.0, abs(f_value[moving]))
-            go = np.any(grad, axis=1) & (decrement > resolution)
+            go = grad.any(axis=1) & (decrement > resolution)
             moving, step_dir, decrement = moving[go], step_dir[go], decrement[go]
             if not moving.size:
                 break
@@ -306,7 +307,9 @@ def _presolve_folds(
                 if not trying.size:
                     break
                 step[trying] *= 0.5
-            moving = np.delete(moving, trying)
+            stalled = np.zeros(len(moving), dtype=bool)
+            stalled[trying] = True
+            moving = moving[~stalled]
     return v, lam_all
 
 
@@ -342,8 +345,9 @@ def solve_dual(
     hides J's progress, so it must strictly shrink the projected-gradient
     norm, which short gradient steps do but a coupled Newton move need not.
     Exits once that norm reaches ``tol``, which certifies the KKT conditions
-    componentwise; otherwise raises ``NonConvergence`` carrying the last
-    iterate. ``iterations`` counts accepted steps. Deterministic. This is
+    componentwise; otherwise, a NaN norm from overflowing aggregates
+    included, raises ``NonConvergence`` carrying the last iterate.
+    ``iterations`` counts accepted steps. Deterministic. This is
     ``solve_folds`` on a batch of one fold that keeps every row.
     """
     keep = np.ones((1, problem.n_subjects), dtype=bool)
@@ -548,10 +552,11 @@ def solve_folds(
         steps += 1
 
     lam, obj, pg_norm, iterations = out
-    for f in np.flatnonzero(pg_norm > tol):
+    for f in np.flatnonzero(~(pg_norm <= tol)):  # a NaN norm, from overflow, certifies nothing
         partial = DualSolution(lam[f, keep[f]], obj[f], pg_norm[f], int(iterations[f]), False)
+        relation = ">" if pg_norm[f] > tol else "is not <="
         raise NonConvergence(
-            f"projected gradient norm {pg_norm[f]:.3e} > tol {tol:.3e} after "
+            f"projected gradient norm {pg_norm[f]:.3e} {relation} tol {tol:.3e} after "
             f"{iterations[f]} iterations",
             solution=partial,
         )

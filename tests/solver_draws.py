@@ -11,9 +11,12 @@ count. Not collected by pytest; run it as
     python tests/solver_draws.py [seed ...]      (default: 7 11)
 
 It prints one line per seed: the failure count, the total lambda-loop
-iterations of the certified solves and the wall time.
+iterations of the certified solves, the wall time and the OpenBLAS kernel
+numpy runs (the counts depend on it; ``unknown`` when numpy's bundled
+OpenBLAS or its kernel query is absent).
 """
 
+import ctypes
 import os
 import sys
 import time
@@ -42,6 +45,20 @@ def instances(seed: int, count: int = 1000):
         yield rng.normal(size=(n, d)) * scale, c
 
 
+def openblas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU at load time
+    (``OPENBLAS_CORETYPE`` overrides it), e.g. ``SkylakeX``."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_-*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def run_draw(seed: int) -> tuple[list[int], int]:
     """Indices of the instances that fail to certify, and the iterations of
     the rest."""
@@ -56,10 +73,12 @@ def run_draw(seed: int) -> tuple[list[int], int]:
 
 if __name__ == "__main__":
     warnings.simplefilter("ignore")
+    kernel = openblas_kernel()
     for seed in [int(s) for s in sys.argv[1:]] or [7, 11]:
         t0 = time.perf_counter()
         failed, iterations = run_draw(seed)
         print(
             f"default_rng({seed}): {len(failed)} of 1000 fail to certify; "
-            f"{iterations} iterations in the rest; {time.perf_counter() - t0:.1f} s"
+            f"{iterations} iterations in the rest; {time.perf_counter() - t0:.1f} s; "
+            f"OpenBLAS kernel {kernel}"
         )

@@ -349,6 +349,19 @@ class TestTrainPredictEvaluate:
         )
         assert code == 3
 
+    def test_overflowing_uqchi_train_exits_3(self, tmp_path, capsys):
+        """Raw features scaled by 1e300 make ||v||^2 overflow: the solve is
+        not certified, and no model with NaN or Infinity in it is written."""
+        source = load_panel(simulate_panel(tmp_path, **{"--d": 5, "--n-per-class": 20}))
+        panel = tmp_path / "huge.csv"
+        write_panel(dataclasses.replace(source, observations=source.observations * 1e300), panel)
+        model = tmp_path / "m.json"
+        with np.errstate(all="ignore"):
+            code = run(["train", "--panel", panel, "--out", model, "--no-standardize"])
+        assert code == 3
+        assert "projected gradient norm nan" in capsys.readouterr().err
+        assert not model.exists()
+
 
 class TestSweep:
     def test_byte_identical_reruns(self, tmp_path):

@@ -285,6 +285,16 @@ class TestSolveDual:
             solve_dual(DualProblem(agg, c=2.0))
         assert excinfo.value.solution.iterations < 1000
 
+    @pytest.mark.parametrize("shape,scale", [((40, 5), 1e170), ((40, 5), 1e300), ((3, 5), 1e300)])
+    def test_overflowing_problem_is_not_certified(self, shape, scale):
+        """Finite aggregates whose ||v||^2 overflows: J is -inf and the
+        projected gradient NaN, which certifies nothing."""
+        agg = np.random.default_rng(0).normal(size=shape) * scale
+        with np.errstate(all="ignore"), pytest.raises(NonConvergence, match="norm nan") as excinfo:
+            solve_dual(DualProblem(agg, c=1.5))
+        assert math.isnan(excinfo.value.solution.grad_norm)
+        assert not excinfo.value.solution.converged
+
 
 def _gaussian(shape, scale=1.0, c=2.0, seed=7):
     return lambda: (np.random.default_rng(seed).normal(size=shape) * scale, c)
@@ -527,6 +537,22 @@ class TestSolveFolds:
         assert not got.converged and got.iterations == want.iterations == cap
         assert np.linalg.norm(got.lam - want.lam) <= 1e-12 * np.linalg.norm(want.lam)
         assert str(batch_failure.value) == str(own_failure.value)
+
+    def test_overflowing_fold_raises(self):
+        """A batch whose second fold keeps rows of scale 1e308 that make v
+        infinite: that fold's projected gradient is NaN while the first fold
+        certifies, and the batch raises for the NaN fold."""
+        big = np.array([[1.0, -1.0, 1.0, -1.0, 1.0]] * 4 + [[1.0] * 5]) * 1e308
+        agg = np.vstack([np.random.default_rng(0).normal(size=(10, 5)), big])
+        keep = np.zeros((2, 15), dtype=bool)
+        keep[0, :10] = keep[1, 10:] = True
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonConvergence, match="norm nan") as excinfo:
+                solve_folds(DualProblem(agg, c=3.0), keep)
+            alone = solve_folds(DualProblem(agg, c=3.0), keep[:1])
+        partial = excinfo.value.solution
+        assert partial.lam.shape == (5,) and math.isnan(partial.grad_norm)
+        assert alone.grad_norm[0] <= DEFAULT_TOL
 
     def test_keep_and_start_shapes_checked(self):
         problem = DualProblem(np.ones((4, 2)), c=2.0)

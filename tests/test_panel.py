@@ -390,6 +390,61 @@ def test_rows_out_of_order_come_back_sorted(tmp_path, monkeypatch, chunk):
     np.testing.assert_array_equal(got.labels, [0, 1])
 
 
+def test_lone_cr_file_loads_as_its_crlf_twin(tmp_path):
+    """Lines ended by a lone CR are more records than LF line ends: the
+    column pass gives the file up, and the row-by-row pass reads the panel
+    the CRLF file gives."""
+    rows = [_HEAD.strip(), "b,2,,2.0,0.5", "a,1,1,1.0,1.5", "b,1,,3.0,2.5", "a,2,,4.0,3.5"]
+    lone_cr, crlf = tmp_path / "cr.csv", tmp_path / "crlf.csv"
+    lone_cr.write_bytes("\r".join(rows).encode() + b"\r")
+    crlf.write_bytes("\r\n".join(rows).encode() + b"\r\n")
+    assert panel_module._column_rows(lone_cr, panel_module._layout(lone_cr)) is None
+    assert _load_outcome(lone_cr)[1:] == _load_outcome(crlf)[1:]
+    assert load_panel(lone_cr).subject_ids == ("b", "a")
+
+
+# files the column pass reads in order, reads and gathers, and gives up
+_STANDARDIZED_FILES = ["quoted features, one label", "rows out of order",
+                       "crlf with rows of blank cells", "reserved columns between features"]
+
+
+@pytest.mark.parametrize("name", _STANDARDIZED_FILES)
+def test_load_standardizes_in_place(tmp_path, name):
+    """A standardizing load gives apply_standardization's panel bit for
+    bit, whether the function fits on the raw panel or returns a stored
+    standardization, and freezes the matrix it rewrote."""
+    path = tmp_path / "panel.csv"
+    path.write_bytes(_CHUNK_FILES[name])
+    raw = load_panel(path)
+    fitted = fit_standardization(raw)
+    want = apply_standardization(raw, fitted)
+    seen = []
+
+    def fit(panel):
+        seen.append((panel.standardization.is_identity, panel.observations.tobytes()))
+        return fit_standardization(panel)
+
+    for standardize in (lambda panel: fitted, fit):
+        got = load_panel(path, standardize)
+        assert got.observations.tobytes() == want.observations.tobytes()
+        assert got.standardization.to_dict() == fitted.to_dict()
+        assert (got.subject_ids, got.times.tolist()) == (raw.subject_ids, raw.times.tolist())
+        assert not got.observations.flags.writeable
+    assert seen == [(True, raw.observations.tobytes())]
+    assert not np.shares_memory(raw.observations, want.observations)
+
+
+def test_load_with_identity_or_foreign_standardization(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(_CHUNK_FILES["rows out of order"])
+    raw = load_panel(path)
+    same = load_panel(path, lambda panel: Standardization.identity(1))
+    assert same.observations.tobytes() == raw.observations.tobytes()
+    assert same.standardization.is_identity
+    with pytest.raises(DimensionMismatch, match="standardization dimension != panel dimension"):
+        load_panel(path, lambda panel: Standardization(np.ones(2), np.ones(2)))
+
+
 class TestSeriesValidation:
     def test_times_must_increase(self):
         with pytest.raises(PanelFormatError):

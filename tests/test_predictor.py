@@ -299,3 +299,8 @@ class TestPredictionCsv:
         assert sum(1 for v in labels.values() if v == 0) == 1
         header = path.read_text().splitlines()[0]
         assert header == "subject_id,t_last,index_mean,index_std,pred,confidence,abstained"
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("subject_id,pred\r\n\r\na,1\r\n\r\nb,-1\r\n\r\n", newline="")
+        assert read_prediction_labels(path) == {"a": 1, "b": -1}
