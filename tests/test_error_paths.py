@@ -31,9 +31,9 @@ from healthindex.predictor import index_trajectory
 from healthindex.simulator import SimConfig
 
 
-def _panel(d=2):
-    """One subject with two visits of d features."""
-    return LongitudinalPanel(("a",), [0, 2], [1, 2], np.ones((2, d)), [1])
+def _panel():
+    """One subject with two visits of two features."""
+    return LongitudinalPanel(("a",), [0, 2], [1, 2], np.ones((2, 2)), [1])
 
 
 @dataclass(frozen=True)
