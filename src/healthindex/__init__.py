@@ -42,7 +42,6 @@ from .med_core import (
 from .panel import (
     LongitudinalPanel,
     Standardization,
-    SubjectSeries,
     aggregates,
     apply_standardization,
     fit_standardization,
@@ -85,7 +84,6 @@ __all__ = [
     "ResultTable",
     "SimConfig",
     "Standardization",
-    "SubjectSeries",
     "WeightPosterior",
     "ZeroFeatureVector",
     "aggregates",

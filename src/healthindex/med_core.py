@@ -51,8 +51,10 @@ MAX_HALVINGS = 40  # of the step, before a line search gives up
 # Newton decrement, or after this many root-finding rounds
 RAY_TOL = 0.1
 RAY_ROUNDS = 8
-# the potential presolve stops once its Newton decrement is this many ulps of F
+# the potential presolve stops once its Newton decrement is this many ulps of F,
+# or after this many Newton steps
 DECREMENT_ULPS = 64
+PRESOLVE_MAX_ITER = 150
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ def projected_gradient(lam: np.ndarray, grad: np.ndarray, upper: float) -> np.nd
 
 
 def _presolve_folds(
-    aggs: np.ndarray, keep: np.ndarray, c: float, v0: np.ndarray, max_iter: int = 150
+    aggs: np.ndarray, keep: np.ndarray, c: float, v0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Warm-start multipliers from the d-dimensional potential problem of F
     folds at once: fold f keeps the rows of ``aggs`` (N, d) where ``keep[f]``
@@ -217,7 +219,7 @@ def _presolve_folds(
     * max(1, |F|), a full step would lower F by about half that, below F's
     float resolution, so no line search could tell it apart from rounding.
     A fold also stops at an exactly zero gradient, when every halving fails,
-    or after ``max_iter`` steps; a fold that stopped does not move. Returns
+    or after PRESOLVE_MAX_ITER steps; a fold that stopped does not move. Returns
     the last accepted v (F, d) and lam*(A v) (F, N), zero on held-out rows,
     from the same evaluation that accepted v; the lambda-space loop of
     ``solve_dual`` certifies the multipliers.
@@ -277,7 +279,7 @@ def _presolve_folds(
     # 1/(1 - t) and the barrier blow up only off the branch np.where keeps
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f_value, t_all, lam_all = evaluate(v, moving)
-        for _ in range(max_iter):
+        for _ in range(PRESOLVE_MAX_ITER):
             lam, t = lam_all[moving], t_all[moving]
             grad = v[moving] - lam @ aggs
             weights = np.where((lam > 0.0) & (lam < upper), 1.0 / (1.0 - t) ** 2, 0.0)
@@ -311,17 +313,6 @@ def _presolve_folds(
             stalled[trying] = True
             moving = moving[~stalled]
     return v, lam_all
-
-
-def _presolve_potential(
-    problem: DualProblem, v0: np.ndarray | None = None, max_iter: int = 150
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_presolve_folds`` for one problem with every row kept, from ``v0``
-    or v = 0: the potential optimum v and lam*(A v)."""
-    v0 = np.zeros(problem.d) if v0 is None else np.asarray(v0, dtype=float)
-    keep = np.ones((1, problem.n_subjects), dtype=bool)
-    v, lam = _presolve_folds(problem.aggregates, keep, problem.c, v0[None, :], max_iter)
-    return v[0], lam[0]
 
 
 def solve_dual(
@@ -563,15 +554,12 @@ def solve_folds(
     return FoldSolutions(lam, obj, pg_norm, iterations)
 
 
-def posterior(
-    solution: DualSolution, problem: DualProblem, force: bool = False
-) -> WeightPosterior:
-    """Gaussian weight posterior N(v(lam*), I) at the dual optimum."""
-    if not solution.converged and not force:
+def posterior(solution: DualSolution, problem: DualProblem) -> WeightPosterior:
+    """Gaussian weight posterior N(v(lam*), I) at the dual optimum; an
+    unconverged solution is refused."""
+    if not solution.converged:
         raise NonConvergence(
-            "refusing to build a posterior from an unconverged solution "
-            "(pass force=True to override)",
-            solution=solution,
+            "refusing to build a posterior from an unconverged solution", solution=solution
         )
     return WeightPosterior(potential_vector(solution.lam, problem.aggregates))
 
@@ -586,7 +574,7 @@ def model_payload(
     standardization_dict: dict | None = None,
 ) -> dict:
     """JSON-ready dict holding the solution, posterior mean and provenance."""
-    post = posterior(solution, problem, force=True)
+    post = posterior(solution, problem)
     payload = {
         "format_version": FORMAT_VERSION,
         "model": "med",

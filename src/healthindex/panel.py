@@ -33,9 +33,6 @@ POSITIVE = 1
 NEGATIVE = -1
 
 _LABEL_TOKENS = {"1": POSITIVE, "+1": POSITIVE, "-1": NEGATIVE, "": None}
-# a subject's label as the panel's labels array holds it; _BAD_LABEL is refused
-_LABEL_CODES = {POSITIVE: POSITIVE, NEGATIVE: NEGATIVE, None: 0}
-_BAD_LABEL = 2
 # panel CSV columns before the features: subject id, visit time, label
 _RESERVED_COLUMNS = ("subject_id", "t", "label")
 
@@ -91,9 +88,10 @@ class Standardization:
 
 @dataclass(frozen=True)
 class SubjectSeries:
-    """One subject's visits: integer times, a (T, d) observation matrix and
-    an optional binary label (+1, -1 or None). ``LongitudinalPanel.subjects``
-    gives read-only views of a panel's rows; nothing is checked here."""
+    """One subject's visits, as ``LongitudinalPanel.subjects`` views them:
+    integer times, a (T, d) observation matrix and a label (+1, -1 or None).
+    Nothing is checked here. Only perfbench's trace hooks still read it, for
+    ids and row counts; it goes once they read the panel's arrays."""
 
     subject_id: str
     times: np.ndarray
@@ -103,22 +101,6 @@ class SubjectSeries:
     @property
     def n_visits(self) -> int:
         return self.times.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.observations.shape[1]
-
-    @property
-    def first(self) -> np.ndarray:
-        return self.observations[0]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.observations[-1]
-
-    def visit_diffs(self) -> np.ndarray:
-        """Consecutive-visit differences, shape (T - 1, d)."""
-        return np.diff(self.observations, axis=0)
 
 
 @dataclass(frozen=True)
@@ -175,32 +157,6 @@ class LongitudinalPanel:
             object.__setattr__(self, "standardization", Standardization.identity(self.d))
         elif self.standardization.mean.shape[0] != self.d:
             raise DimensionMismatch("standardization dimension != panel dimension")
-
-    @classmethod
-    def from_subjects(cls, subjects, standardization=None) -> "LongitudinalPanel":
-        """A panel of per-subject pieces: SubjectSeries, or anything with
-        their four fields."""
-        subjects = tuple(subjects)
-        if not subjects:
-            raise PanelFormatError("panel needs >= 1 subject")
-        blocks = [np.asarray(s.observations, dtype=float) for s in subjects]
-        for s, x in zip(subjects, blocks):
-            if x.ndim != 2 or x.shape[0] != len(s.times):
-                raise DimensionMismatch(
-                    f"subject {s.subject_id}: observations must be (T, d) with T == len(times)"
-                )
-            if x.shape[1] != blocks[0].shape[1]:
-                raise DimensionMismatch(
-                    f"subject {s.subject_id} has d={x.shape[1]}, expected {blocks[0].shape[1]}"
-                )
-        return cls(
-            tuple(s.subject_id for s in subjects),
-            np.cumsum([0] + [len(x) for x in blocks]),
-            np.concatenate([np.asarray(s.times, dtype=int) for s in subjects]),
-            np.vstack(blocks),
-            [_LABEL_CODES.get(s.label, _BAD_LABEL) for s in subjects],
-            standardization,
-        )
 
     @property
     def d(self) -> int:

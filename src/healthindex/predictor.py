@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Range, ZeroFeatureVector
 from .med_core import WeightPosterior
-from .panel import LongitudinalPanel, SubjectSeries
+from .panel import LongitudinalPanel
 
 REJECTED_LABEL = 0
 # the rejection thresholds and rates reject_by_threshold and reject_by_rate take
@@ -80,17 +80,22 @@ class IndexTrajectory:
     monotonicity_violations: int
 
 
-def index_trajectory(posterior: WeightPosterior, series: SubjectSeries) -> IndexTrajectory:
-    """Index mean v.x_t and std ||x_t|| per visit, with a count of visits
-    where the mean index decreases. The last visit's mean and std are the
-    ``index_mean`` and ``index_std`` that ``predict_panel`` returns."""
-    if series.d != posterior.d:
-        raise DimensionMismatch(
-            f"series has d={series.d}, posterior has d={posterior.d}"
-        )
-    means, stds = zip(*(_index(posterior, x) for x in series.observations))
+def index_trajectory(
+    posterior: WeightPosterior, panel: LongitudinalPanel, j: int
+) -> IndexTrajectory:
+    """Index mean v.x_t and std ||x_t|| at each visit of the panel's subject
+    at position j (rows ``offsets[j]:offsets[j + 1]``), with a count of
+    visits where the mean index decreases: the monitoring view of one
+    subject. The last visit's mean and std are the ``index_mean`` and
+    ``index_std`` that ``predict_panel`` returns for that subject."""
+    if not 0 <= j < panel.n_subjects:
+        raise IndexError(f"subject position {j} outside [0, {panel.n_subjects})")
+    if panel.d != posterior.d:
+        raise DimensionMismatch(f"panel has d={panel.d}, posterior has d={posterior.d}")
+    rows = slice(panel.offsets[j], panel.offsets[j + 1])
+    means, stds = zip(*(_index(posterior, x) for x in panel.observations[rows]))
     return IndexTrajectory(
-        times=tuple(int(t) for t in series.times),
+        times=tuple(panel.times[rows].tolist()),
         means=means,
         stds=stds,
         monotonicity_violations=int(np.sum(np.diff(means) < 0.0)),

@@ -132,7 +132,6 @@ def cross_validate_c_cold(train_panel, c_grid, folds, seed):
     import warnings
 
     from healthindex.harness import train_uqchi
-    from healthindex.panel import LongitudinalPanel
     from healthindex.predictor import predict
 
     grid = sorted(set(float(c) for c in c_grid))
@@ -150,7 +149,7 @@ def cross_validate_c_cold(train_panel, c_grid, folds, seed):
         scores = []
         for heldout in fold_sets:
             heldout_set = set(heldout)
-            fold_train = LongitudinalPanel.from_subjects(
+            fold_train = panel_from_subjects(
                 tuple(s for s in train_panel.subjects if s.subject_id not in heldout_set),
                 standardization=train_panel.standardization,
             )
@@ -158,7 +157,9 @@ def cross_validate_c_cold(train_panel, c_grid, folds, seed):
                 warnings.simplefilter("ignore")
                 posterior, _, _ = train_uqchi(fold_train, c)
             eval_subjects = [s for s in train_panel.subjects if s.subject_id in heldout_set]
-            correct = sum(predict(posterior, s.terminal) == s.label for s in eval_subjects)
+            correct = sum(
+                predict(posterior, s.observations[-1]) == s.label for s in eval_subjects
+            )
             scores.append(correct / len(eval_subjects))
         mean_score = float(np.mean(scores))
         if mean_score > best_score:
@@ -213,9 +214,9 @@ def chi_design_per_term(panel):
     visits minus their center."""
     d = panel.d
     labeled = [s for s in panel.subjects if s.label is not None]
-    x_labeled = np.array([s.terminal for s in labeled], dtype=float).reshape(-1, d)
+    x_labeled = np.array([s.observations[-1] for s in labeled], dtype=float).reshape(-1, d)
     y_labeled = np.array([s.label for s in labeled], dtype=float)
-    blocks = [s.visit_diffs() for s in panel.subjects if s.n_visits > 1]
+    blocks = [np.diff(s.observations, axis=0) for s in panel.subjects if s.n_visits > 1]
     diffs = np.vstack(blocks) if blocks else np.empty((0, d))
     centered = []
     for label in (1.0, -1.0):
@@ -274,12 +275,46 @@ def chi_train_per_term(panel, hyper, steps=400, step_size=0.01):
 
 
 class Series(NamedTuple):
-    """One subject's pieces, as ``LongitudinalPanel.from_subjects`` takes them."""
+    """One subject's pieces, as ``panel_from_subjects`` takes them."""
 
     subject_id: str
     times: np.ndarray
     observations: np.ndarray
     label: int | None = None
+
+
+# a subject's label as the panel's labels array holds it; _BAD_LABEL is refused
+_LABEL_CODES = {1: 1, -1: -1, None: 0}
+_BAD_LABEL = 2
+
+
+def panel_from_subjects(subjects, standardization=None):
+    """A panel of per-subject pieces: Series, or anything with their four
+    fields (a panel's ``subjects`` views among them). A (T, d)/times
+    mismatch and a mixed d are refused here; the panel checks the rest."""
+    from healthindex.panel import LongitudinalPanel
+
+    subjects = tuple(subjects)
+    if not subjects:
+        raise PanelFormatError("panel needs >= 1 subject")
+    blocks = [np.asarray(s.observations, dtype=float) for s in subjects]
+    for s, x in zip(subjects, blocks):
+        if x.ndim != 2 or x.shape[0] != len(s.times):
+            raise DimensionMismatch(
+                f"subject {s.subject_id}: observations must be (T, d) with T == len(times)"
+            )
+        if x.shape[1] != blocks[0].shape[1]:
+            raise DimensionMismatch(
+                f"subject {s.subject_id} has d={x.shape[1]}, expected {blocks[0].shape[1]}"
+            )
+    return LongitudinalPanel(
+        tuple(s.subject_id for s in subjects),
+        np.cumsum([0] + [len(x) for x in blocks]),
+        np.concatenate([np.asarray(s.times, dtype=int) for s in subjects]),
+        np.vstack(blocks),
+        [_LABEL_CODES.get(s.label, _BAD_LABEL) for s in subjects],
+        standardization,
+    )
 
 
 def validate_subjects(subjects):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    Series,
     central_diff_gradient,
     chi_design_per_term,
     chi_evaluate_per_term,
     chi_train_per_term,
+    panel_from_subjects,
 )
 
 from healthindex.chi_baseline import (
@@ -20,19 +22,19 @@ from healthindex.chi_baseline import (
     model_payload,
 )
 from healthindex.errors import DimensionMismatch, NonFiniteObjective
-from healthindex.panel import LongitudinalPanel, SubjectSeries, standardize
+from healthindex.panel import standardize
 from healthindex.simulator import SimConfig, simulate
 
 
 def series(rows, sid="s", label=None):
     obs = np.asarray(rows, dtype=float)
-    return SubjectSeries(sid, np.arange(1, obs.shape[0] + 1), obs, label)
+    return Series(sid, np.arange(1, obs.shape[0] + 1), obs, label)
 
 
 def toy_panel():
     """Separable 1-d panel: both classes improve by +1 per visit, terminal
     visits sit at +2 and -2."""
-    return LongitudinalPanel.from_subjects(
+    return panel_from_subjects(
         (
             series([[1.0], [2.0]], "pos", label=1),
             series([[-3.0], [-2.0]], "neg", label=-1),
@@ -48,7 +50,7 @@ def random_labeled_panel(rng, n_subjects=6, d=3):
         drift = 0.3 * label * np.arange(n_visits)[:, None]
         obs = rng.normal(size=(n_visits, d)) + drift
         subjects.append(series(obs, f"s{i}", label=label))
-    return LongitudinalPanel.from_subjects(tuple(subjects))
+    return panel_from_subjects(tuple(subjects))
 
 
 class TestHyperparams:
@@ -82,7 +84,7 @@ class TestObjective:
         assert value == pytest.approx(0.5 * 1.5**2)
 
     def test_single_class_skips_missing_variance_term(self):
-        panel = LongitudinalPanel.from_subjects(
+        panel = panel_from_subjects(
             (
                 series([[1.0], [2.0]], "a", label=1),
                 series([[0.5], [1.5]], "b", label=1),
@@ -98,7 +100,7 @@ class TestObjective:
         rng = np.random.default_rng(2)
         base = random_labeled_panel(rng)
         extra = series(rng.normal(size=(3, base.d)), "unlab", label=None)
-        grown = LongitudinalPanel.from_subjects(base.subjects + (extra,))
+        grown = panel_from_subjects(base.subjects + (extra,))
         hyper_no_mono = ChiHyperparams(alpha=0.0, beta=1.0, lambda_var=1.0, gamma_l1=1.0)
         model = ChiModel(rng.normal(size=base.d), 0.3)
         assert chi_objective(model, grown, hyper_no_mono) == pytest.approx(
@@ -152,24 +154,24 @@ class TestObjective:
 def _near_kink(panel, w, b, margin=1e-4):
     for s in panel.subjects:
         if s.label is not None:
-            if abs(1.0 - s.label * (s.terminal @ w + b)) < margin:
+            if abs(1.0 - s.label * (s.observations[-1] @ w + b)) < margin:
                 return True
         if s.n_visits > 1:
-            if np.any(np.abs(1.0 - s.visit_diffs() @ w) < margin):
+            if np.any(np.abs(1.0 - np.diff(s.observations, axis=0) @ w) < margin):
                 return True
     return False
 
 
 def _single_class_panel():
     rng = np.random.default_rng(21)
-    return LongitudinalPanel.from_subjects(
+    return panel_from_subjects(
         tuple(series(rng.normal(size=(i % 3 + 1, 3)), f"p{i}", label=1) for i in range(5))
     )
 
 
 def _single_visit_panel():
     rng = np.random.default_rng(22)
-    return LongitudinalPanel.from_subjects(
+    return panel_from_subjects(
         tuple(series(rng.normal(size=(1, 3)), f"s{i}", label=1 - 2 * (i % 2)) for i in range(6))
     )
 
@@ -178,7 +180,7 @@ def _partly_unlabeled_panel():
     rng = np.random.default_rng(23)
     base = random_labeled_panel(rng, n_subjects=7, d=4)
     extra = tuple(series(rng.normal(size=(3, 4)), f"u{i}") for i in range(4))
-    return LongitudinalPanel.from_subjects(base.subjects + extra)
+    return panel_from_subjects(base.subjects + extra)
 
 
 ORACLE_PANELS = {
@@ -228,9 +230,9 @@ class TestTraining:
         # labeled subject, so the variance term is zero)
         grid_w = np.linspace(-3, 3, 301)
         grid_b = np.linspace(-3, 3, 301)
-        terminals = np.array([s.terminal[0] for s in panel.subjects])
+        terminals = np.array([s.observations[-1][0] for s in panel.subjects])
         labels = np.array([s.label for s in panel.subjects], dtype=float)
-        diffs = np.concatenate([s.visit_diffs()[:, 0] for s in panel.subjects])
+        diffs = np.concatenate([np.diff(s.observations, axis=0)[:, 0] for s in panel.subjects])
         w = grid_w[:, None, None]
         b = grid_b[None, :, None]
         values = (
@@ -277,7 +279,7 @@ class TestTraining:
         assert a.b == b.b
 
     def test_unlabeled_only_panel_rejected(self):
-        panel = LongitudinalPanel.from_subjects((series([[1.0], [2.0]], "u"),))
+        panel = panel_from_subjects((series([[1.0], [2.0]], "u"),))
         with pytest.raises(ValueError):
             chi_train(panel)
 
@@ -299,14 +301,14 @@ class TestTraining:
                 obs = rng.normal(size=(n_visits, 2)).cumsum(axis=0)
                 obs[-1] += label * 2.0
                 subjects.append(series(obs, f"s{i}", label=label))
-            panel = LongitudinalPanel.from_subjects(tuple(subjects))
+            panel = panel_from_subjects(tuple(subjects))
             for alpha in alphas:
                 hyper = ChiHyperparams(alpha=alpha, beta=1.0, lambda_var=0.0, gamma_l1=0.0)
                 model = chi_train(panel, hyper, steps=300, step_size=0.05)
                 count = 0
                 for s in panel.subjects:
                     if s.n_visits > 1:
-                        count += int(np.sum(s.visit_diffs() @ model.w < 0))
+                        count += int(np.sum(np.diff(s.observations, axis=0) @ model.w < 0))
                 totals[alpha].append(count)
         means = [np.mean(totals[a]) for a in alphas]
         assert means[1] <= means[0] + 1e-9

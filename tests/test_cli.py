@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+from oracles import panel_from_subjects
+
 from healthindex.cli import main
-from healthindex.panel import LongitudinalPanel, load_panel, write_panel
+from healthindex.panel import load_panel, write_panel
 from healthindex.simulator import SimConfig
 
 
@@ -294,7 +296,7 @@ class TestTrainPredictEvaluate:
             first, observations=np.vstack([first.observations[:-1], np.zeros(3)])
         )
         panel = tmp_path / "zeroed.csv"
-        write_panel(LongitudinalPanel.from_subjects((zeroed,) + source.subjects[1:]), panel)
+        write_panel(panel_from_subjects((zeroed,) + source.subjects[1:]), panel)
         model = tmp_path / "m.json"
         preds = tmp_path / "p.csv"
         assert run(["train", "--panel", panel, "--out", model, "--no-standardize"]) == 0

@@ -26,7 +26,7 @@ from healthindex.med_core import (
     posterior_from_payload,
     potential_vector,
 )
-from healthindex.panel import LongitudinalPanel, Standardization, SubjectSeries
+from healthindex.panel import LongitudinalPanel, Standardization
 from healthindex.predictor import index_trajectory
 from healthindex.simulator import SimConfig
 
@@ -96,17 +96,17 @@ CASES = {
         ),
         DimensionMismatch, "standardization dimension != panel dimension",
     ),
-    "from_subjects empty": (
-        lambda: LongitudinalPanel.from_subjects(()),
-        PanelFormatError, "panel needs >= 1 subject",
-    ),
-    "from_subjects visit count": (
-        lambda: LongitudinalPanel.from_subjects((SubjectSeries("a", [1, 2, 3], np.ones((2, 2))),)),
-        DimensionMismatch, r"subject a: observations must be \(T, d\) with T == len\(times\)",
-    ),
     "index_trajectory d": (
-        lambda: index_trajectory(WeightPosterior(np.ones(3)), _panel().subjects[0]),
-        DimensionMismatch, "series has d=2, posterior has d=3",
+        lambda: index_trajectory(WeightPosterior(np.ones(3)), _panel(), 0),
+        DimensionMismatch, "panel has d=2, posterior has d=3",
+    ),
+    "index_trajectory position past the end": (
+        lambda: index_trajectory(WeightPosterior(np.ones(2)), _panel(), 1),
+        IndexError, r"subject position 1 outside \[0, 1\)",
+    ),
+    "index_trajectory negative position": (
+        lambda: index_trajectory(WeightPosterior(np.ones(2)), _panel(), -1),
+        IndexError, r"subject position -1 outside \[0, 1\)",
     ),
     "SimConfig visits": (
         lambda: SimConfig(visits_min=4, visits_max=3),

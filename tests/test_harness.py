@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import cross_validate_c_cold, cross_validate_c_per_fold
+from oracles import Series, cross_validate_c_cold, cross_validate_c_per_fold, panel_from_subjects
 
 from healthindex import harness
 from healthindex.chi_baseline import ChiHyperparams
@@ -22,13 +22,13 @@ from healthindex.harness import (
     train_uqchi,
 )
 from healthindex.med_core import DualSolution
-from healthindex.panel import LongitudinalPanel, SubjectSeries, standardize
+from healthindex.panel import standardize
 from healthindex.simulator import SimConfig, simulate
 
 
 def series(rows, sid, label=None):
     obs = np.asarray(rows, dtype=float)
-    return SubjectSeries(sid, np.arange(1, obs.shape[0] + 1), obs, label)
+    return Series(sid, np.arange(1, obs.shape[0] + 1), obs, label)
 
 
 def tiny_spec(**overrides):
@@ -127,14 +127,14 @@ class TestCrossValidateC:
             series(np.random.default_rng(i).normal(size=(3, 2)), f"s{i}")
             for i in range(6)
         )
-        panel = LongitudinalPanel.from_subjects(subjects)
+        panel = panel_from_subjects(subjects)
         with pytest.warns(UserWarning):
             chosen = cross_validate_c(panel, [5.0, 1.5, 20.0], folds=3, seed=0)
         assert chosen == 1.5
 
     def test_holdout_fallback_warns(self):
         panel = self.build_panel(n=30)
-        few_labels = LongitudinalPanel.from_subjects(
+        few_labels = panel_from_subjects(
             tuple(
                 s if i < 4 else dataclasses.replace(s, label=None)
                 for i, s in enumerate(panel.subjects)
@@ -242,9 +242,9 @@ class TestCrossValidateC:
         panel = self.build_panel(seed=3, n=20)
         first = panel.subjects[0]
         zeroed = dataclasses.replace(
-            first, observations=np.vstack([first.observations[:-1], np.zeros(first.d)])
+            first, observations=np.vstack([first.observations[:-1], np.zeros(panel.d)])
         )
-        panel = LongitudinalPanel.from_subjects(
+        panel = panel_from_subjects(
             (zeroed,) + panel.subjects[1:], standardization=panel.standardization
         )
         grid = (1.5, 3.0, 100.0)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import Series, panel_from_subjects
+
 from healthindex import panel as panel_module
 from healthindex.errors import (
     ConflictingLabels,
@@ -9,9 +11,7 @@ from healthindex.errors import (
     PanelFormatError,
 )
 from healthindex.panel import (
-    LongitudinalPanel,
     Standardization,
-    SubjectSeries,
     aggregates,
     apply_standardization,
     fit_standardization,
@@ -26,11 +26,11 @@ def make_series(sid, rows, label=None, times=None):
     obs = np.asarray(rows, dtype=float)
     if times is None:
         times = np.arange(1, obs.shape[0] + 1)
-    return SubjectSeries(sid, times, obs, label)
+    return Series(sid, times, obs, label)
 
 
 def make_panel(*series):
-    return LongitudinalPanel.from_subjects(tuple(series))
+    return panel_from_subjects(tuple(series))
 
 
 def random_panel(rng, n_subjects=6, d=3, labeled_fraction=0.5):
@@ -85,7 +85,7 @@ class TestCsvLoading:
         panel = load_panel(path)
         s = panel.subjects[0]
         assert s.n_visits == 1
-        assert s.visit_diffs().shape == (0, 1)
+        assert np.diff(s.observations, axis=0).shape == (0, 1)
 
     def test_rows_sorted_by_time_within_subject(self, tmp_path):
         path = self.write(
@@ -148,7 +148,7 @@ class TestCsvLoading:
         assert panel.subject_ids == ("a,b", 'say "hi"', "#c", "d", "e\r\nf", "g\0")
         assert [s.label for s in panel.subjects] == [1, None, -1, None, None, 1]
         np.testing.assert_array_equal(
-            [s.terminal[0] for s in panel.subjects], [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
+            [s.observations[-1][0] for s in panel.subjects], [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]
         )
         assert load_observed_labels(path) == {"a,b": 1, "#c": -1, "g\0": 1}
 
@@ -508,12 +508,12 @@ class TestAggregates:
             panel = random_panel(rng, n_subjects=4, d=4, labeled_fraction=0.0)
             for row, s in zip(aggregates(panel), panel.subjects):
                 # unobserved labels kill the discriminant part, leaving the sum of diffs
-                same_order = np.zeros(s.d)
-                for step in s.visit_diffs():
+                same_order = np.zeros(panel.d)
+                for step in np.diff(s.observations, axis=0):
                     same_order = same_order + step
                 np.testing.assert_array_equal(row, same_order)
                 np.testing.assert_allclose(
-                    row, s.terminal - s.first, rtol=1e-12, atol=1e-12
+                    row, s.observations[-1] - s.observations[0], rtol=1e-12, atol=1e-12
                 )
 
     def test_matrix_stacks_in_order(self):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import Series, panel_from_subjects
+
 from healthindex.chi_baseline import ChiModel, chi_predict_panel
 from healthindex.errors import DimensionMismatch, ZeroFeatureVector
 from healthindex.med_core import WeightPosterior
-from healthindex.panel import LongitudinalPanel, SubjectSeries
 from healthindex.predictor import (
     Predictions,
     confidence,
@@ -26,7 +27,12 @@ Z_975 = 1.959964
 
 def series(rows, sid="s", label=None):
     obs = np.asarray(rows, dtype=float)
-    return SubjectSeries(sid, np.arange(1, obs.shape[0] + 1), obs, label)
+    return Series(sid, np.arange(1, obs.shape[0] + 1), obs, label)
+
+
+def one(rows):
+    """A panel of one subject with these visits."""
+    return panel_from_subjects((series(rows),))
 
 
 def record(sid, conf, label=1):
@@ -117,19 +123,19 @@ class TestConfidence:
 class TestIndexTrajectory:
     def test_monotone_series_has_no_violations(self):
         post = WeightPosterior(np.array([1.0, 0.0]))
-        traj = index_trajectory(post, series([[1.0, 9.0], [2.0, 9.0], [3.0, 9.0]]))
+        traj = index_trajectory(post, one([[1.0, 9.0], [2.0, 9.0], [3.0, 9.0]]), 0)
         assert traj.means == (1.0, 2.0, 3.0)
         assert traj.monotonicity_violations == 0
 
     def test_zero_posterior_keeps_stds(self):
         post = WeightPosterior(np.zeros(2))
-        traj = index_trajectory(post, series([[3.0, 4.0], [0.0, 2.0]]))
+        traj = index_trajectory(post, one([[3.0, 4.0], [0.0, 2.0]]), 0)
         assert traj.means == (0.0, 0.0)
         assert traj.stds == (5.0, 2.0)
 
     def test_counts_decreases(self):
         post = WeightPosterior(np.array([1.0]))
-        traj = index_trajectory(post, series([[3.0], [2.0]]))
+        traj = index_trajectory(post, one([[3.0], [2.0]]), 0)
         assert traj.monotonicity_violations == 1
 
     def test_last_visit_matches_prediction_record(self):
@@ -138,8 +144,8 @@ class TestIndexTrajectory:
         panel, _ = simulate(SimConfig(d=90, seed=3))
         post = WeightPosterior(np.random.default_rng(3).normal(size=90))
         preds = predict_panel(post, panel)
-        for i, s in enumerate(panel.subjects):
-            traj = index_trajectory(post, s)
+        for i in range(panel.n_subjects):
+            traj = index_trajectory(post, panel, i)
             assert (traj.means[-1], traj.stds[-1]) == (preds.index_mean[i], preds.index_std[i])
 
 
@@ -221,7 +227,7 @@ class TestRejectByRate:
 class TestPredictPanel:
     def test_zero_terminal_visit_gets_tie_label_and_least_confidence(self):
         post = WeightPosterior(np.array([1.0, -0.5]))
-        panel = LongitudinalPanel.from_subjects(
+        panel = panel_from_subjects(
             (
                 series([[1.0, 0.0], [2.0, 1.0]], sid="a"),
                 series([[1.0, 1.0], [0.0, 0.0]], sid="b"),
@@ -240,7 +246,7 @@ class TestPredictPanel:
         for _ in range(20):
             d = int(rng.integers(1, 40))
             post = WeightPosterior(rng.normal(size=d))
-            panel = LongitudinalPanel.from_subjects(
+            panel = panel_from_subjects(
                 tuple(
                     series(rng.normal(size=(int(rng.integers(1, 5)), d)), sid=f"s{i}")
                     for i in range(8)
@@ -248,7 +254,7 @@ class TestPredictPanel:
             )
             records = predict_panel(post, panel)
             for i, s in enumerate(panel.subjects):
-                x = s.terminal
+                x = s.observations[-1]
                 assert records.t_last[i] == int(s.times[-1])
                 assert records.index_mean[i] == float(post.mean @ x)
                 assert records.index_std[i] == float(np.linalg.norm(x))
@@ -256,12 +262,12 @@ class TestPredictPanel:
                 assert records.confidence[i] == confidence(post, x)
 
     def test_dimension_mismatch_names_both(self):
-        panel = LongitudinalPanel.from_subjects((series([[1.0, 2.0]]),))
+        panel = panel_from_subjects((series([[1.0, 2.0]]),))
         with pytest.raises(DimensionMismatch, match="panel has d=2, posterior has d=3"):
             predict_panel(WeightPosterior(np.ones(3)), panel)
 
     def test_rejecting_predictions_without_confidence_names_the_cause(self):
-        panel = LongitudinalPanel.from_subjects(
+        panel = panel_from_subjects(
             (series([[1.0, 0.0]], sid="a"), series([[-3.0, 0.5]], sid="b"))
         )
         preds = chi_predict_panel(ChiModel(np.array([1.0, -0.5]), 0.25), panel)
@@ -285,7 +291,7 @@ class TestPredictPanel:
 class TestPredictionCsv:
     def test_round_trip_with_rejection_labels(self, tmp_path):
         post = WeightPosterior(np.array([1.0, -0.5]))
-        panel = LongitudinalPanel.from_subjects(
+        panel = panel_from_subjects(
             (
                 series([[1.0, 0.0], [2.0, 1.0]], sid="a", label=1),
                 series([[-3.0, 0.5]], sid="b", label=-1),

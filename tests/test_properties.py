@@ -21,14 +21,13 @@ from oracles import (
     chi_design_per_subject,
     split_and_mask_per_subject,
     standardize_per_subject,
+    panel_from_subjects,
     validate_subjects,
 )
 
 from healthindex.chi_baseline import ChiHyperparams, _build_design
 from healthindex.harness import ExperimentSpec, run_pipeline
 from healthindex.panel import (
-    LongitudinalPanel,
-    SubjectSeries,
     aggregates,
     apply_standardization,
     fit_standardization,
@@ -67,8 +66,8 @@ def panels(draw):
                      min_size=len(times), max_size=len(times))
         )
         label = draw(st.sampled_from([1, -1, None]))
-        subjects.append(SubjectSeries(sid, np.array(times), np.array(rows), label))
-    return LongitudinalPanel.from_subjects(tuple(subjects))
+        subjects.append(Series(sid, np.array(times), np.array(rows), label))
+    return panel_from_subjects(tuple(subjects))
 
 
 def csv_writer_bytes(panel):
@@ -128,7 +127,7 @@ def assert_same_panel(panel, subjects):
 def test_flat_layers_match_the_per_subject_reference(
     subjects, train_fraction, unlabeled_fraction, seed
 ):
-    panel = LongitudinalPanel.from_subjects(subjects)
+    panel = panel_from_subjects(subjects)
     assert_same_panel(panel, subjects)
     assert aggregates(panel).tobytes() == aggregates_per_subject(subjects).tobytes()
 
@@ -198,7 +197,7 @@ def raised(build):
 def test_flat_panel_refuses_what_the_per_subject_checks_refuse(subjects):
     want = raised(lambda: validate_subjects(subjects))
     assert want is not None
-    assert raised(lambda: LongitudinalPanel.from_subjects(subjects)) == want
+    assert raised(lambda: panel_from_subjects(subjects)) == want
 
 
 @PROPERTY_SETTINGS

@@ -105,7 +105,7 @@ class TestGeneration:
         panel, truth = simulate(config)
         terminal = {POSITIVE: [], NEGATIVE: []}
         for s in panel.subjects:
-            terminal[truth[s.subject_id]].append(s.terminal)
+            terminal[truth[s.subject_id]].append(s.observations[-1])
         gap = np.abs(
             np.mean(terminal[POSITIVE], axis=0) - np.mean(terminal[NEGATIVE], axis=0)
         )
@@ -124,7 +124,7 @@ class TestGeneration:
         panel, truth = simulate(config)
         direction = np.zeros(5)
         direction[: config.informative_k] = 1.0
-        scores = np.array([s.terminal @ direction for s in panel.subjects])
+        scores = np.array([s.observations[-1] @ direction for s in panel.subjects])
         labels = np.array([truth[s.subject_id] for s in panel.subjects])
         threshold = 0.5 * config.degradation_rate * 2 * (config.visits_min - 1)
         predictions = np.where(scores > threshold, POSITIVE, NEGATIVE)
