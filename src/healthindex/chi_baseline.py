@@ -152,26 +152,32 @@ def chi_train(
     step_size / sqrt(k); the prox soft-thresholds w and leaves b alone.
 
     Returns the best iterate by objective, which is never worse than the
-    zero model it starts from. Raises on a non-finite objective.
+    zero model it starts from. Raises on a non-finite objective, naming the
+    features' scale as the cause when the subgradient at theta = 0, which
+    the data alone decide, is not finite, and else the step size.
     """
     hyper = hyper or ChiHyperparams()
     Range(1).check("steps", steps)
     GT_ZERO.check("step_size", step_size)
     if not panel.labels.any():
         raise ValueError("training needs at least one labeled subject")
-    design = _build_design(panel, hyper)
 
     theta = best = np.zeros(panel.d + 1)
     with np.errstate(over="ignore", invalid="ignore"):
+        design = _build_design(panel, hyper)
         best_value, grad = _evaluate(design, theta)
+        grad_at_zero = grad
         for k in range(1, steps + 1):
             step = step_size / np.sqrt(k)
             theta = _soft_threshold(theta - step * grad, step * design.l1)
             value, grad = _evaluate(design, theta)
             if not np.isfinite(value):
+                cause = "reduce the step size" if np.isfinite(grad_at_zero).all() else (
+                    "its subgradient at w = 0, b = 0 is not finite: the features' "
+                    "scale overflows it; standardize the features"
+                )
                 raise NonFiniteObjective(
-                    f"objective became non-finite at step {k} "
-                    f"(step_size={step_size}); reduce the step size",
+                    f"objective became non-finite at step {k} (step_size={step_size}); {cause}",
                     iteration=k,
                 )
             if value < best_value:

@@ -360,6 +360,9 @@ class FoldSolutions:
     iterations: np.ndarray
 
 
+# finite aggregates can still overflow ||v||^2 and A v: J is then -inf and
+# the gradient NaN, which certifies nothing, and the error names the cause
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def solve_folds(
     problem: DualProblem,
     keep: np.ndarray,
@@ -381,7 +384,8 @@ def solve_folds(
     from the Gram matrix and padded to the widest free set with identity
     rows; when N > d, their (d, d) Woodbury cores. Raises ``NonConvergence``
     for the first uncertified fold in fold order, carrying its partial
-    ``DualSolution`` over its kept rows.
+    ``DualSolution`` over its kept rows; a non-finite norm names overflow
+    as its cause.
     """
     GT_ZERO.check("tol", tol)
     GE_ZERO.check("max_iter", max_iter)
@@ -546,9 +550,12 @@ def solve_folds(
     for f in np.flatnonzero(~(pg_norm <= tol)):  # a NaN norm, from overflow, certifies nothing
         partial = DualSolution(lam[f, keep[f]], obj[f], pg_norm[f], int(iterations[f]), False)
         relation = ">" if pg_norm[f] > tol else "is not <="
+        cause = "" if np.isfinite(pg_norm[f]) else (
+            ": the dual objective overflows at the aggregates' scale; standardize the features"
+        )
         raise NonConvergence(
             f"projected gradient norm {pg_norm[f]:.3e} {relation} tol {tol:.3e} after "
-            f"{iterations[f]} iterations",
+            f"{iterations[f]} iterations{cause}",
             solution=partial,
         )
     return FoldSolutions(lam, obj, pg_norm, iterations)

@@ -232,25 +232,44 @@ _STD_BLOCK_ROWS = 256
 def fit_standardization(panel: LongitudinalPanel) -> Standardization:
     """Per-feature mean and standard deviation over all visits of all subjects.
 
-    Constant features get scale 1 so the transform stays invertible.
+    Constant features get scale 1 so the transform stays invertible. A
+    feature whose sum or squared deviations overflow gets the mean and
+    standard deviation of its values divided by their largest magnitude,
+    scaled back; one whose range overflows, so that no shift keeps it
+    finite, is refused by position.
     """
     observations = panel.observations
-    mean = observations.mean(axis=0)
     rows, d = observations.shape
-    if d == 1:  # a one-column sum is pairwise; std's is the reference
-        scale = observations.std(axis=0)
-    else:
-        # std's sum of squared deviations without its (rows, d) temporary:
-        # numpy sums axis 0 row after row, so a block of squared deviations
-        # below the running sum adds up to the same floats
-        block = np.zeros((min(rows, _STD_BLOCK_ROWS) + 1, d))
-        for start in range(0, rows, _STD_BLOCK_ROWS):
-            chunk = observations[start : start + _STD_BLOCK_ROWS]
-            squares = block[1 : len(chunk) + 1]
-            np.subtract(chunk, mean, out=squares)
-            np.multiply(squares, squares, out=squares)
-            block[0] = block[: len(chunk) + 1].sum(axis=0)
-        scale = np.sqrt(block[0] / rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = observations.mean(axis=0)
+        if d == 1:  # a one-column sum is pairwise; std's is the reference
+            scale = observations.std(axis=0)
+        else:
+            # std's sum of squared deviations without its (rows, d) temporary:
+            # numpy sums axis 0 row after row, so a block of squared deviations
+            # below the running sum adds up to the same floats
+            block = np.zeros((min(rows, _STD_BLOCK_ROWS) + 1, d))
+            for start in range(0, rows, _STD_BLOCK_ROWS):
+                chunk = observations[start : start + _STD_BLOCK_ROWS]
+                squares = block[1 : len(chunk) + 1]
+                np.subtract(chunk, mean, out=squares)
+                np.multiply(squares, squares, out=squares)
+                block[0] = block[: len(chunk) + 1].sum(axis=0)
+            scale = np.sqrt(block[0] / rows)
+    overflow = np.flatnonzero(~np.isfinite(scale))  # a non-finite mean makes it inf too
+    if overflow.size:
+        columns = observations[:, overflow]
+        with np.errstate(over="ignore"):
+            spread = columns.max(axis=0) - columns.min(axis=0)
+        if not np.isfinite(spread).all():
+            k = int(overflow[np.argmin(np.isfinite(spread))])
+            raise ValueError(
+                f"feature {k + 1} of {d} spans more than the float range; rescale it"
+            )
+        size = np.abs(columns).max(axis=0)
+        columns /= size
+        mean[overflow] = columns.mean(axis=0) * size
+        scale[overflow] = columns.std(axis=0) * size
     scale = np.where(scale > 0, scale, 1.0)
     return Standardization(mean, scale)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,61 @@ class TestTrainPredictEvaluate:
         assert code == 3
         assert "projected gradient norm nan" in capsys.readouterr().err
         assert not model.exists()
+
+    @staticmethod
+    def huge_panel(tmp_path):
+        """The 40-subject d = 5 panel with every feature scaled by 1e300:
+        finite, but its squares overflow."""
+        source = load_panel(simulate_panel(tmp_path, **{"--d": 5, "--n-per-class": 20}))
+        panel = tmp_path / "huge.csv"
+        write_panel(dataclasses.replace(source, observations=source.observations * 1e300), panel)
+        return panel
+
+    @staticmethod
+    def train_stderr(capsys, args):
+        """Exit code and stderr lines of ``train``; a numpy warning, which
+        would print lines of its own, fails the call."""
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["train", *args])
+        return code, capsys.readouterr().err.splitlines()
+
+    def test_overflowing_uqchi_names_the_scale(self, tmp_path, capsys):
+        panel, model = self.huge_panel(tmp_path), tmp_path / "m.json"
+        code, err = self.train_stderr(
+            capsys, ["--panel", panel, "--out", model, "--no-standardize"]
+        )
+        assert (code, err) == (3, [
+            "numerical failure: projected gradient norm nan is not <= tol 1.000e-08 after 0 "
+            "iterations: the dual objective overflows at the aggregates' scale; "
+            "standardize the features"
+        ])
+        assert not model.exists()
+
+    def test_overflowing_chi_names_the_scale(self, tmp_path, capsys):
+        panel, model = self.huge_panel(tmp_path), tmp_path / "m.json"
+        code, err = self.train_stderr(
+            capsys, ["--panel", panel, "--out", model, "--method", "chi", "--no-standardize"]
+        )
+        assert (code, err) == (3, [
+            "numerical failure: objective became non-finite at step 1 (step_size=0.01); its "
+            "subgradient at w = 0, b = 0 is not finite: the features' scale overflows it; "
+            "standardize the features"
+        ])
+        assert not model.exists()
+
+    def test_overflowing_squares_are_standardized(self, tmp_path, capsys):
+        """fit_standardization falls back to scaled moments, so the 1e300
+        panel trains to the model of the unscaled panel."""
+        panel, model = self.huge_panel(tmp_path), tmp_path / "m.json"
+        code, err = self.train_stderr(capsys, ["--panel", panel, "--out", model])
+        assert (code, err) == (0, [])
+        reference = tmp_path / "reference.json"
+        assert run(["train", "--panel", tmp_path / "panel.csv", "--out", reference]) == 0
+        mean = json.loads(model.read_text())["mean_weights"]
+        np.testing.assert_allclose(mean, json.loads(reference.read_text())["mean_weights"],
+                                   rtol=1e-12)
 
 
 class TestSweep:

@@ -7,8 +7,16 @@ predictions; and the evaluate report. It catches any change in the last bits of 
 program writes. It runs in a subprocess with one BLAS thread and skips when
 the numpy or BLAS build differs from the one the digests were made with.
 
+numpy's bundled OpenBLAS picks its kernel from the CPU when it loads, and
+the last bits of the models follow the kernel, so the file holds one set of
+digests per kernel (``solver_draws.openblas_kernel`` names it). The test
+compares the set of the kernel it runs on and skips, naming the kernel,
+when there is none.
+
 After a change that moves the outputs on purpose, remake the digests with
-``python tests/test_cli_digests.py --write``.
+``python tests/test_cli_digests.py --write`` once per kernel, forcing each
+with ``OPENBLAS_CORETYPE`` (SkylakeX, Haswell, Sandybridge and Prescott,
+whose kernel the query names Katmai); each run replaces its own kernel's set.
 """
 
 import hashlib
@@ -68,15 +76,23 @@ def test_cli_outputs_match_the_stored_digests():
     if differ:
         pytest.skip("digests made on another build: " + ", ".join(
             f"{k} {here['build'][k]} here, {stored['build'][k]} in the digests" for k in differ))
-    assert here["files"] == stored["files"]
+    if here["kernel"] not in stored["kernels"]:
+        pytest.skip(f"no digests for the OpenBLAS kernel {here['kernel']} numpy runs here")
+    assert here["files"] == stored["kernels"][here["kernel"]]
 
 
 if __name__ == "__main__":
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads: its last bits may depend on threads
     sys.path.insert(0, str(ROOT / "src"))
+    from solver_draws import openblas_kernel
+
     with tempfile.TemporaryDirectory() as tmp:
-        result = {"build": _build(), "files": _run(Path(tmp))}
+        result = {"build": _build(), "kernel": openblas_kernel(), "files": _run(Path(tmp))}
     if sys.argv[1:] == ["--write"]:
-        DIGESTS.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        stored = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+        if stored.get("build") != result["build"]:  # another build's sets no longer apply
+            stored = {"build": result["build"], "kernels": {}}
+        stored["kernels"][result["kernel"]] = result["files"]
+        DIGESTS.write_text(json.dumps(stored, indent=2, sort_keys=True) + "\n")
     print(json.dumps(result))

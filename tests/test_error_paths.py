@@ -11,12 +11,15 @@ from healthindex.chi_baseline import (
     ChiModel,
     chi_objective,
     chi_predict_panel,
+    chi_train,
     model_from_payload,
 )
 from healthindex.errors import (
     Config,
     DimensionMismatch,
     DomainError,
+    NonConvergence,
+    NonFiniteObjective,
     PanelFormatError,
 )
 from healthindex.med_core import (
@@ -25,8 +28,9 @@ from healthindex.med_core import (
     dual_objective,
     posterior_from_payload,
     potential_vector,
+    solve_dual,
 )
-from healthindex.panel import LongitudinalPanel, Standardization
+from healthindex.panel import LongitudinalPanel, Standardization, fit_standardization
 from healthindex.predictor import index_trajectory
 from healthindex.simulator import SimConfig
 
@@ -34,6 +38,11 @@ from healthindex.simulator import SimConfig
 def _panel():
     """One subject with two visits of two features."""
     return LongitudinalPanel(("a",), [0, 2], [1, 2], np.ones((2, 2)), [1])
+
+
+def _one_visit_each(rows):
+    """Two positive subjects with one visit each, the rows of ``rows``."""
+    return LongitudinalPanel(("a", "b"), [0, 1, 2], [1, 1], np.array(rows), [1, 1])
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,27 @@ CASES = {
     "index_trajectory negative position": (
         lambda: index_trajectory(WeightPosterior(np.ones(2)), _panel(), -1),
         IndexError, r"subject position -1 outside \[0, 1\)",
+    ),
+    "fit_standardization range": (
+        lambda: fit_standardization(_one_visit_each([[1.0, -1e308], [2.0, 1e308]])),
+        ValueError, "feature 2 of 2 spans more than the float range; rescale it",
+    ),
+    "solve_dual overflow": (
+        lambda: solve_dual(DualProblem(np.random.default_rng(0).normal(size=(3, 5)) * 1e300, 1.5)),
+        NonConvergence,
+        r"projected gradient norm nan is not <= tol 1\.000e-08 after 0 iterations: the dual "
+        "objective overflows at the aggregates' scale; standardize the features",
+    ),
+    "chi_train scale": (
+        lambda: chi_train(_one_visit_each([[1e300, 1.0], [-1e300, 1.0]])),
+        NonFiniteObjective,
+        r"objective became non-finite at step 1 \(step_size=0\.01\); its subgradient at "
+        "w = 0, b = 0 is not finite: the features' scale overflows it; standardize the features",
+    ),
+    "chi_train step size": (
+        lambda: chi_train(_panel(), step_size=1e160),
+        NonFiniteObjective,
+        r"objective became non-finite at step 1 \(step_size=1e\+160\); reduce the step size",
     ),
     "SimConfig visits": (
         lambda: SimConfig(visits_min=4, visits_max=3),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -544,6 +546,22 @@ class TestStandardization:
         std = obs.std(axis=0)
         panel = make_panel(make_series("s", obs))
         np.testing.assert_array_equal(fit_standardization(panel).scale, np.where(std > 0, std, 1.0))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_overflowing_squares_get_the_scaled_moments(self, d):
+        """A feature of scale 1e300, whose squares overflow, gets the moments
+        of the unscaled feature times 1e300, with no warning; the other
+        features keep their bits."""
+        obs = np.random.default_rng(d).normal(size=(40, d)) + 2.0
+        fitted = fit_standardization(make_panel(make_series("s", obs)))
+        obs[:, 0] *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = fit_standardization(make_panel(make_series("s", obs)))
+        np.testing.assert_allclose(huge.mean[0], fitted.mean[0] * 1e300, rtol=1e-14)
+        np.testing.assert_allclose(huge.scale[0], fitted.scale[0] * 1e300, rtol=1e-14)
+        np.testing.assert_array_equal(huge.mean[1:], fitted.mean[1:])
+        np.testing.assert_array_equal(huge.scale[1:], fitted.scale[1:])
 
     def test_constant_feature_gets_unit_scale(self):
         panel = make_panel(make_series("s", [[5.0, 1.0], [5.0, 2.0]]))
