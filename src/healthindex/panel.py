@@ -256,20 +256,17 @@ def fit_standardization(panel: LongitudinalPanel) -> Standardization:
                 np.multiply(squares, squares, out=squares)
                 block[0] = block[: len(chunk) + 1].sum(axis=0)
             scale = np.sqrt(block[0] / rows)
-    overflow = np.flatnonzero(~np.isfinite(scale))  # a non-finite mean makes it inf too
-    if overflow.size:
-        columns = observations[:, overflow]
-        with np.errstate(over="ignore"):
-            spread = columns.max(axis=0) - columns.min(axis=0)
-        if not np.isfinite(spread).all():
-            k = int(overflow[np.argmin(np.isfinite(spread))])
-            raise ValueError(
-                f"feature {k + 1} of {d} spans more than the float range; rescale it"
-            )
-        size = np.abs(columns).max(axis=0)
-        columns /= size
-        mean[overflow] = columns.mean(axis=0) * size
-        scale[overflow] = columns.std(axis=0) * size
+        overflow = np.flatnonzero(~np.isfinite(scale))  # an overflowing mean makes it inf
+        if overflow.size:
+            columns = observations[:, overflow]
+            spread = np.isfinite(columns.max(axis=0) - columns.min(axis=0))
+            if not spread.all():
+                k = overflow[np.argmin(spread)] + 1
+                raise ValueError(f"feature {k} of {d} spans more than the float range; rescale it")
+            size = np.abs(columns).max(axis=0)
+            columns /= size
+            mean[overflow] = columns.mean(axis=0) * size
+            scale[overflow] = columns.std(axis=0) * size
     scale = np.where(scale > 0, scale, 1.0)
     return Standardization(mean, scale)
 
