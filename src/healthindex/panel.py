@@ -259,9 +259,9 @@ def fit_standardization(panel: LongitudinalPanel) -> Standardization:
         overflow = np.flatnonzero(~np.isfinite(scale))  # an overflowing mean makes it inf
         if overflow.size:
             columns = observations[:, overflow]
-            spread = np.isfinite(columns.max(axis=0) - columns.min(axis=0))
-            if not spread.all():
-                k = overflow[np.argmin(spread)] + 1
+            fits = np.isfinite(columns.max(axis=0) - columns.min(axis=0))
+            if not fits.all():
+                k = overflow[np.argmin(fits)] + 1
                 raise ValueError(f"feature {k} of {d} spans more than the float range; rescale it")
             size = np.abs(columns).max(axis=0)
             columns /= size
