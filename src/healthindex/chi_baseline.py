@@ -18,10 +18,18 @@ from typing import Annotated, Sequence
 
 import numpy as np
 
-from .errors import GE_ZERO, GT_ZERO, Config, DimensionMismatch, NonFiniteObjective, Range
+from .errors import (
+    GE_ZERO,
+    GT_ZERO,
+    Config,
+    DimensionMismatch,
+    NonFiniteObjective,
+    Range,
+    json_field,
+)
 # both model kinds share one file format, writer and loader; save_model stays
 # importable from here because perfbench's tracer wraps chi_baseline.save_model
-from .med_core import FORMAT_VERSION, save_model  # noqa: F401
+from .med_core import FORMAT_VERSION, check_payload_d, save_model  # noqa: F401
 from .panel import NEGATIVE, POSITIVE, LongitudinalPanel
 from .predictor import Predictions
 
@@ -51,6 +59,8 @@ class ChiModel:
 
     def __post_init__(self):
         arr = np.array(self.w, dtype=float)
+        if arr.ndim != 1:
+            raise DimensionMismatch(f"weights w must be a vector, got shape {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
         object.__setattr__(self, "b", float(self.b))
@@ -154,7 +164,9 @@ def chi_train(
     Returns the best iterate by objective, which is never worse than the
     zero model it starts from. Raises on a non-finite objective, naming the
     features' scale as the cause when the subgradient at theta = 0, which
-    the data alone decide, is not finite, and else the step size.
+    the data alone decide, is not finite; the scale and the step size when
+    the first step overflows on a raw (unstandardized) panel; and else the
+    step size.
     """
     hyper = hyper or ChiHyperparams()
     Range(1).check("steps", steps)
@@ -172,10 +184,15 @@ def chi_train(
             theta = _soft_threshold(theta - step * grad, step * design.l1)
             value, grad = _evaluate(design, theta)
             if not np.isfinite(value):
-                cause = "reduce the step size" if np.isfinite(grad_at_zero).all() else (
-                    "its subgradient at w = 0, b = 0 is not finite: the features' "
-                    "scale overflows it; standardize the features"
-                )
+                if not np.isfinite(grad_at_zero).all():
+                    cause = ("its subgradient at w = 0, b = 0 is not finite: the features' "
+                             "scale overflows it; standardize the features")
+                elif k == 1 and panel.standardization.is_identity:
+                    size = np.abs(panel.observations).max()
+                    cause = (f"the first step overflows on raw features as large as {size:.3g}; "
+                             "standardize the features or reduce the step size")
+                else:
+                    cause = "reduce the step size"
                 raise NonFiniteObjective(
                     f"objective became non-finite at step {k} (step_size={step_size}); {cause}",
                     iteration=k,
@@ -231,4 +248,6 @@ def model_payload(
 def model_from_payload(payload: dict) -> ChiModel:
     if payload.get("model") != "chi":
         raise ValueError(f"not a chi model payload: {payload.get('model')!r}")
-    return ChiModel(np.asarray(payload["w"], dtype=float), float(payload["b"]))
+    model = ChiModel(json_field(payload, "w"), json_field(payload, "b", float))
+    check_payload_d(payload, "w", model.d)
+    return model

@@ -14,7 +14,15 @@ from pathlib import Path
 
 from . import chi_baseline, harness, med_core, predictor
 from .chi_baseline import ChiHyperparams
-from .errors import GE_ZERO, GT_ZERO, DimensionMismatch, NonConvergence, NonFiniteObjective, Range
+from .errors import (
+    GE_ZERO,
+    GT_ZERO,
+    DimensionMismatch,
+    NonConvergence,
+    NonFiniteObjective,
+    Range,
+    json_field,
+)
 # apply_standardization stays importable from here because perfbench's tracer
 # wraps cli.apply_standardization; load_panel standardizes the CLI's panels
 from .panel import (  # noqa: F401
@@ -107,10 +115,7 @@ def _cmd_train(args) -> int:
         payload = med_core.model_payload(
             problem, solution, standardization_dict=standardization.to_dict()
         )
-        summary = (
-            f"converged={solution.converged}, "
-            f"iterations={solution.iterations}, objective={solution.objective:.6g}"
-        )
+        summary = f"iterations={solution.iterations}, objective={solution.objective:.6g}"
     else:
         model = chi_baseline.chi_train(
             panel, hyper, steps=args.steps, step_size=args.step_size
@@ -137,29 +142,42 @@ def _add_predict_parser(subparsers):
     group.add_argument("--reject-threshold", type=float, default=None)
 
 
+def _read_model(path):
+    """The kind, model and standardization (or None) of a model file; a
+    missing or malformed field is refused naming the file and the field."""
+    payload = med_core.load_model(path)
+    kind = payload.get("model")
+    readers = {"med": med_core.posterior_from_payload, "chi": chi_baseline.model_from_payload}
+    if kind not in readers:
+        raise ValueError(f"unknown model kind {kind!r} in {path}")
+    try:
+        model = readers[kind](payload)
+        standardization = None
+        if payload.get("standardization"):
+            standardization = json_field(payload, "standardization", Standardization.from_dict)
+            if standardization.mean.shape[0] != model.d:
+                raise DimensionMismatch(f"standardization holds {standardization.mean.shape[0]} "
+                                        f"features, d is {model.d}")
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from None
+    return kind, model, standardization
+
+
 def _cmd_predict(args) -> int:
     if args.reject_rate is not None:
         predictor.RATES.check("rate", args.reject_rate)
     if args.reject_threshold is not None:
         predictor.THRESHOLDS.check("threshold", args.reject_threshold)
-    payload = med_core.load_model(args.model)
-    kind = payload.get("model")
-    if kind == "med":
-        model = med_core.posterior_from_payload(payload)
-    elif kind == "chi":
-        if args.reject_rate is not None or args.reject_threshold is not None:
-            raise ValueError("rejection options need a model with confidence scores")
-        model = chi_baseline.model_from_payload(payload)
-    else:
-        raise ValueError(f"unknown model kind {kind!r} in {args.model}")
+    kind, model, standardization = _read_model(args.model)
+    if kind == "chi" and (args.reject_rate is not None or args.reject_threshold is not None):
+        raise ValueError("rejection options need a model with confidence scores")
 
     def model_standardization(raw):
         if model.d != raw.d:
             raise DimensionMismatch(
                 f"model {args.model} has d={model.d}, panel {args.panel} has d={raw.d}"
             )
-        stored = payload.get("standardization")
-        return Standardization.from_dict(stored) if stored else None
+        return standardization
 
     panel = load_panel(args.panel, model_standardization)  # standardized in place
 

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the base of the config
-dataclasses read from JSON, which checks each field's type and range."""
+"""Exception types shared across the package, the base of the config
+dataclasses read from JSON, which checks each field's type and range, and
+the field reader of the model files."""
 
 import dataclasses
 import functools
@@ -86,6 +87,21 @@ class Range:
 
 GT_ZERO = Range(0.0, open_low=True)
 GE_ZERO = Range(0.0)
+
+
+def json_field(payload, key: str, build=lambda value: value):
+    """``build(payload[key])`` of a JSON object; a payload that is no object,
+    a missing field, or a ValueError or TypeError of ``build`` raises
+    ValueError naming ``key``."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"must be a JSON object, got {type(payload).__name__}")
+    if key not in payload:
+        raise ValueError(f"field {key!r} is missing")
+    try:
+        return build(payload[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
 
 # per annotated type: the type a value must have, and its name for one and for many
 _KINDS = {

@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     NonConvergence,
+    json_field,
 )
 
 FORMAT_VERSION = 1
@@ -122,6 +123,8 @@ class WeightPosterior:
 
     def __post_init__(self):
         arr = np.array(self.mean, dtype=float)
+        if arr.ndim != 1:
+            raise DimensionMismatch(f"mean weights must be a vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("posterior mean weights must be finite")
         arr.setflags(write=False)
@@ -594,7 +597,6 @@ def model_payload(
             "objective": solution.objective,
             "grad_norm": solution.grad_norm,
             "iterations": solution.iterations,
-            "converged": solution.converged,
         },
     }
     if standardization_dict is not None:
@@ -616,7 +618,15 @@ def load_model(path) -> dict:
     return payload
 
 
+def check_payload_d(payload: dict, weights: str, d: int) -> None:
+    """Refuse a model file whose ``d`` is not the length of its ``weights``."""
+    if json_field(payload, "d") != d:
+        raise DimensionMismatch(f"d is {payload['d']!r}, but {weights} holds {d} weights")
+
+
 def posterior_from_payload(payload: dict) -> WeightPosterior:
     if payload.get("model") != "med":
         raise ValueError(f"not a med model payload: {payload.get('model')!r}")
-    return WeightPosterior(np.asarray(payload["mean_weights"], dtype=float))
+    post = json_field(payload, "mean_weights", WeightPosterior)
+    check_payload_d(payload, "mean_weights", post.d)
+    return post

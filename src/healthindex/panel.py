@@ -27,6 +27,7 @@ from .errors import (
     DuplicateTimeIndex,
     PanelFormatError,
     Range,
+    json_field,
 )
 
 POSITIVE = 1
@@ -83,7 +84,7 @@ class Standardization:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Standardization":
-        return cls(payload["mean"], payload["scale"])
+        return cls(json_field(payload, "mean"), json_field(payload, "scale"))
 
 
 @dataclass(frozen=True)
@@ -185,39 +186,21 @@ class LongitudinalPanel:
     def observed_labels(self) -> dict[str, int]:
         return {sid: y for sid, y in zip(self.subject_ids, self.labels.tolist()) if y}
 
-    def visit_steps(self):
-        """For each visit position k >= 1: the positions of the subjects with
-        more than k visits, k, and each one's step x_k - x_(k-1)."""
-        starts, counts = self.offsets[:-1], np.diff(self.offsets)
-        for k in range(1, int(counts.max())):
-            has = np.flatnonzero(counts > k)
-            at = starts[has] + k
-            yield has, k, self.observations[at] - self.observations[at - 1]
-
 
 def aggregates(panel: LongitudinalPanel) -> np.ndarray:
     """The (N, d) matrix of per-subject vectors driving the dual multipliers,
     one row per subject in panel order.
 
-    A row is the expected label times the terminal visit plus the summed
-    consecutive-visit differences. The expected label is 2 P(y = +1) - 1:
-    +1 or -1 for an observed label, 0 for a missing one (P(y = +1) = 0.5).
-    The monotonicity part is accumulated from explicit per-step differences
-    (first to last), one visit position at a time across all subjects that
-    reach it, which telescopes to terminal - first observation.
-    Single-visit subjects contribute no monotonicity term.
+    A row is ybar * x_T + (x_T - x_1): the expected label times the terminal
+    visit, plus the sum of the consecutive-visit differences, which
+    telescopes to terminal minus first visit (exactly 0 for a single visit).
+    The expected label is 2 P(y = +1) - 1: +1 or -1 for an observed label, 0
+    for a missing one (P(y = +1) = 0.5).
     """
     rows = panel.terminals
+    drift = rows - panel.observations[panel.offsets[:-1]]
     rows *= panel.labels[:, None]
-    summed = np.empty_like(rows)
-    for has, k, step in panel.visit_steps():
-        if k == 1:
-            summed[has] = step
-        else:
-            summed[has] += step
-        del step  # freed before the next one is gathered
-    multi = np.diff(panel.offsets) > 1
-    np.add(rows, summed, out=rows, where=multi[:, None])
+    rows += drift
     return rows
 
 

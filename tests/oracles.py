@@ -356,15 +356,14 @@ def validate_subjects(subjects):
 
 
 def aggregates_per_subject(subjects):
-    """Expected label times the terminal visit, plus the per-subject sum of
-    consecutive-visit differences when there are any."""
+    """Expected label times the terminal visit, plus the telescoped sum of
+    consecutive-visit differences, last minus first visit, one subject at a
+    time."""
     rows = []
     for s in subjects:
         ybar = 0.0 if s.label is None else float(s.label)
-        vec = ybar * s.observations[-1]
-        if len(s.times) > 1:
-            vec = vec + np.diff(s.observations, axis=0).sum(axis=0)
-        rows.append(vec)
+        last, first = s.observations[-1], s.observations[0]
+        rows.append(ybar * last + (last - first))
     return np.vstack(rows)
 
 

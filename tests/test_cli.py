@@ -70,7 +70,6 @@ class TestTrainPredictEvaluate:
         ) == 0
         payload = json.loads(model.read_text())
         assert payload["model"] == "med"
-        assert payload["convergence"]["converged"] is True
         assert len(payload["standardization"]["mean"]) == 6
         assert json.loads(sidecar.read_text())["mean"] == payload["standardization"]["mean"]
 
@@ -174,6 +173,40 @@ class TestTrainPredictEvaluate:
         preds = tmp_path / "preds.csv"
         assert run(["predict", "--model", model, "--panel", panel, "--out", preds]) == 2
         assert named in capsys.readouterr().err
+        assert not preds.exists()
+
+    @pytest.mark.parametrize(
+        "method,edit,named",
+        [
+            ("uqchi", lambda p: p.update(mean_weights=[p["mean_weights"]]),
+             "mean_weights: mean weights must be a vector, got shape (1, 6)"),
+            ("uqchi", lambda p: p.update(d=7), "d is 7, but mean_weights holds 6 weights"),
+            ("uqchi", lambda p: p.pop("mean_weights"), "field 'mean_weights' is missing"),
+            ("uqchi", lambda p: p.pop("d"), "field 'd' is missing"),
+            ("uqchi", lambda p: p["standardization"].pop("scale"),
+             "standardization: field 'scale' is missing"),
+            ("uqchi", lambda p: p.update(standardization={"mean": [0.0] * 3, "scale": [1.0] * 3}),
+             "standardization holds 3 features, d is 6"),
+            ("chi", lambda p: p.update(w=[p["w"]]), "weights w must be a vector, got shape (1, 6)"),
+            ("chi", lambda p: p.update(d=7), "d is 7, but w holds 6 weights"),
+            ("chi", lambda p: p.pop("b"), "field 'b' is missing"),
+            ("chi", lambda p: p.update(b="x"), "b: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_malformed_model_field_exits_2(self, tmp_path, capsys, method, edit, named):
+        """A foreign or malformed model file is refused before the panel is
+        read, naming the file and the field."""
+        panel = simulate_panel(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--panel", panel, "--out", model, "--method", method,
+                    "--steps", 20]) == 0
+        payload = json.loads(model.read_text())
+        edit(payload)
+        model.write_text(json.dumps(payload))
+        preds = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--panel", panel, "--out", preds]) == 2
+        assert capsys.readouterr().err == f"error: model file {model}: {named}\n"
         assert not preds.exists()
 
     @pytest.mark.parametrize(
@@ -344,21 +377,27 @@ class TestTrainPredictEvaluate:
             ["train", "--panel", tmp_path / "nope.csv", "--out", tmp_path / "m.json"]
         ) == 2
 
-    def test_numerical_failure_exits_3(self, tmp_path):
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        """An overflowing step size on a standardized panel names the step size."""
         panel = simulate_panel(tmp_path)
+        capsys.readouterr()
         code = run(
             ["train", "--panel", panel, "--out", tmp_path / "m.json",
              "--method", "chi", "--step-size", 1e160, "--steps", 50]
         )
         assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: objective became non-finite at step 1 (step_size=1e+160); "
+            "reduce the step size\n"
+        )
 
     @staticmethod
-    def huge_panel(tmp_path):
-        """The 40-subject d = 5 panel with every feature scaled by 1e300:
-        finite, but its squares overflow."""
+    def huge_panel(tmp_path, scale=1e300):
+        """The 40-subject d = 5 panel with every feature scaled by ``scale``:
+        finite, but at 1e300 its squares overflow."""
         source = load_panel(simulate_panel(tmp_path, **{"--d": 5, "--n-per-class": 20}))
         panel = tmp_path / "huge.csv"
-        write_panel(dataclasses.replace(source, observations=source.observations * 1e300), panel)
+        write_panel(dataclasses.replace(source, observations=source.observations * scale), panel)
         return panel
 
     @staticmethod
@@ -395,6 +434,31 @@ class TestTrainPredictEvaluate:
             "numerical failure: objective became non-finite at step 1 (step_size=0.01); its "
             "subgradient at w = 0, b = 0 is not finite: the features' scale overflows it; "
             "standardize the features"
+        ])
+        assert not model.exists()
+
+    @pytest.mark.parametrize("scale,step_size", [(1e150, 0.01), (1.0, 1e160), (1e200, 0.01)])
+    def test_overflowing_chi_cause_follows_the_scale(self, tmp_path, capsys, scale, step_size):
+        """While the subgradient at 0 is finite (to scale 1e150), an
+        overflowing first step on the raw panel names the features' largest
+        magnitude and both remedies, so a unit-scale panel shows the step size
+        to be the cause. From 1e200 the subgradient overflows: the 1e300
+        message."""
+        panel, model = self.huge_panel(tmp_path, scale), tmp_path / "m.json"
+        code, err = self.train_stderr(capsys, [
+            "--panel", panel, "--out", model, "--method", "chi", "--no-standardize",
+            "--step-size", step_size,
+        ])
+        size = np.abs(load_panel(panel).observations).max()
+        cause = (
+            f"the first step overflows on raw features as large as {size:.3g}; standardize "
+            "the features or reduce the step size" if scale < 1e200 else
+            "its subgradient at w = 0, b = 0 is not finite: the features' scale overflows "
+            "it; standardize the features"
+        )
+        assert (code, err) == (3, [
+            f"numerical failure: objective became non-finite at step 1 (step_size={step_size}); "
+            f"{cause}"
         ])
         assert not model.exists()
 

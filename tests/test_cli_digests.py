@@ -17,8 +17,14 @@ After a change that moves the outputs on purpose, remake the digests with
 ``python tests/test_cli_digests.py --write`` once per kernel, forcing each
 with ``OPENBLAS_CORETYPE`` (SkylakeX, Haswell, Sandybridge and Prescott,
 whose kernel the query names Katmai); each run replaces its own kernel's set.
+
+``--keep DIR`` runs the CLI in ``DIR`` (created if missing, and refused if
+it holds anything) and leaves the files there. Kept runs of the old and the
+new program under the same kernel show how far a re-pin moved each number,
+for example the largest relative difference of the model weights.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -82,14 +88,23 @@ def test_cli_outputs_match_the_stored_digests():
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the digests of the CLI run as JSON.")
+    parser.add_argument("--write", action="store_true",
+                        help="store them as the running kernel's set in cli_digests.json")
+    parser.add_argument("--keep", metavar="DIR", help="run in DIR and keep the files written")
+    opts = parser.parse_args()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads: its last bits may depend on threads
     sys.path.insert(0, str(ROOT / "src"))
     from solver_draws import openblas_kernel
 
     with tempfile.TemporaryDirectory() as tmp:
-        result = {"build": _build(), "kernel": openblas_kernel(), "files": _run(Path(tmp))}
-    if sys.argv[1:] == ["--write"]:
+        workdir = Path(opts.keep or tmp)
+        workdir.mkdir(parents=True, exist_ok=True)
+        if any(workdir.iterdir()):  # every file in it is digested
+            raise SystemExit(f"--keep {workdir}: the directory is not empty")
+        result = {"build": _build(), "kernel": openblas_kernel(), "files": _run(workdir)}
+    if opts.write:
         stored = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
         if stored.get("build") != result["build"]:  # another build's sets no longer apply
             stored = {"build": result["build"], "kernels": {}}

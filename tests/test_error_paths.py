@@ -1,7 +1,7 @@
 """Checks that no other test reaches: each case builds one malformed input
 and asserts the error type and message its check raises."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -38,6 +38,11 @@ from healthindex.simulator import SimConfig
 def _panel():
     """One subject with two visits of two features."""
     return LongitudinalPanel(("a",), [0, 2], [1, 2], np.ones((2, 2)), [1])
+
+
+def _standardized(panel):
+    """``panel``'s rows, marked as standardized by a non-identity transform."""
+    return replace(panel, standardization=Standardization(np.zeros(panel.d), np.full(panel.d, 2.0)))
 
 
 def _one_visit_each(rows):
@@ -134,9 +139,15 @@ CASES = {
         "w = 0, b = 0 is not finite: the features' scale overflows it; standardize the features",
     ),
     "chi_train step size": (
-        lambda: chi_train(_panel(), step_size=1e160),
+        lambda: chi_train(_standardized(_panel()), step_size=1e160),
         NonFiniteObjective,
         r"objective became non-finite at step 1 \(step_size=1e\+160\); reduce the step size",
+    ),
+    "chi_train raw first step": (
+        lambda: chi_train(_panel(), step_size=1e160),
+        NonFiniteObjective,
+        r"objective became non-finite at step 1 \(step_size=1e\+160\); the first step "
+        "overflows on raw features as large as 1; standardize the features or reduce the step size",
     ),
     "SimConfig visits": (
         lambda: SimConfig(visits_min=4, visits_max=3),

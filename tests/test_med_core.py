@@ -619,7 +619,6 @@ class TestModelPayload:
         post = posterior_from_payload(loaded)
         np.testing.assert_allclose(post.mean, posterior(solution, problem).mean)
         assert loaded["c"] == 5.0
-        assert loaded["convergence"]["converged"] is True
 
 
 class TestProjectedGradient:

@@ -77,7 +77,7 @@ def test_fit_standardization_peak(work):
 
 def test_train_uqchi_peak(work, tmp_path):
     """One matrix, loaded and standardized in place, beside the aggregates
-    and the solver's arrays (1.87); a standardized copy beside the raw
+    and the solver's arrays (1.66); a standardized copy beside the raw
     matrix reads 2.21."""
     path = work / "train.csv"
     argv = ("train", "--panel", path, "--out", tmp_path / "uqchi.json")
@@ -93,7 +93,7 @@ def test_train_chi_peak(work, tmp_path):
 
 def test_predict_peak(work, tmp_path):
     """One matrix, loaded and standardized in place, beside the predictions
-    (1.85); a standardized copy beside the raw matrix reads 2.29."""
+    (1.84); a standardized copy beside the raw matrix reads 2.29."""
     path = work / "scored.csv"
     argv = ("predict", "--model", work / "model.json", "--panel", path,
             "--reject-rate", "0.4", "--out", tmp_path / "pred.csv")

@@ -509,14 +509,13 @@ class TestAggregates:
         for _ in range(50):
             panel = random_panel(rng, n_subjects=4, d=4, labeled_fraction=0.0)
             for row, s in zip(aggregates(panel), panel.subjects):
-                # unobserved labels kill the discriminant part, leaving the sum of diffs
-                same_order = np.zeros(panel.d)
+                # unobserved labels kill the discriminant part, leaving the
+                # telescoped sum of diffs, x_T - x_1 exactly
+                np.testing.assert_array_equal(row, s.observations[-1] - s.observations[0])
+                steps = np.zeros(panel.d)
                 for step in np.diff(s.observations, axis=0):
-                    same_order = same_order + step
-                np.testing.assert_array_equal(row, same_order)
-                np.testing.assert_allclose(
-                    row, s.observations[-1] - s.observations[0], rtol=1e-12, atol=1e-12
-                )
+                    steps = steps + step
+                np.testing.assert_allclose(row, steps, rtol=1e-12, atol=1e-12)
 
     def test_matrix_stacks_in_order(self):
         panel = make_panel(
