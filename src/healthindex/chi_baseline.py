@@ -31,7 +31,7 @@ from .errors import (
 # importable from here because perfbench's tracer wraps chi_baseline.save_model
 from .med_core import FORMAT_VERSION, check_payload_d, save_model  # noqa: F401
 from .panel import NEGATIVE, POSITIVE, LongitudinalPanel
-from .predictor import Predictions
+from .predictor import Predictions, _row, index_means, index_signs
 
 
 _BLOCK_ROWS = 256  # visit steps per block in _build_design
@@ -205,22 +205,16 @@ def chi_train(
 
 def chi_predict(model: ChiModel, x: Sequence[float]) -> int:
     """Sign of the affine score x.w + b; an exact tie goes to +1."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({model.d},)")
-    return 1 if float(x @ model.w) + model.b >= 0.0 else -1
+    return int(index_signs(index_means(model.w, _row(model, x)) + model.b)[0])
 
 
 def chi_predict_panel(model: ChiModel, panel: LongitudinalPanel) -> Predictions:
     """Each subject's affine score x.w + b at its terminal visit x, the
-    ``index_mean``: one dot product per visit, as ``chi_predict`` takes it,
-    and a tie goes to +1. The baseline has no posterior, so no std or
-    confidence."""
+    ``index_mean``, as ``chi_predict`` takes it; a tie goes to +1. The
+    baseline has no posterior, so no std or confidence."""
     if model.d != panel.d:
         raise DimensionMismatch(f"model has d={model.d}, panel has d={panel.d}")
-    return Predictions.at_terminals(
-        panel, np.array([float(x @ model.w) + model.b for x in panel.terminals])
-    )
+    return Predictions.at_terminals(panel, index_means(model.w, panel.terminals) + model.b)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,9 @@ def _cmd_train(args) -> int:
     # the method's flags, checked as its code checks them, before the panel is read
     if args.method == "uqchi":
         GT_ZERO.check("margin prior rate c", args.c)
+        if args.c <= 1:
+            raise ValueError(f"margin prior rate c={args.c} <= 1 puts every lambda at 0, so the "
+                             "model carries no data and every prediction is +1; use c > 1")
         GT_ZERO.check("tol", args.tol)
         GE_ZERO.check("max_iter", args.max_iter)
     else:

@@ -34,7 +34,7 @@ from .panel import (
     load_panel,
     split_and_mask,
 )
-from .predictor import Predictions, predict_panel, reject_by_rate
+from .predictor import Predictions, index_means, index_signs, predict_panel, reject_by_rate
 from .simulator import SimConfig, simulate
 
 METHOD_UQCHI = "uqchi"
@@ -147,10 +147,10 @@ def cross_validate_c(
     1 - 1/(c - lam_n) = a_n . v makes lam proportional to 1 - 1/c when
     lam << c. After a c <= 1 the next c starts cold. The folds' posterior
     means are one product lam @ A; a fold's accuracy is its count of correct
-    posterior-mean index signs at held-out terminal visits (ties to +1, as
-    ``predictor.predict``) over its held-out size. With DEBUG logging on,
-    one record per call gives every c's fold scores and mean, batched
-    lambda-loop iterations and total fold steps, and the chosen c.
+    index signs at held-out terminal visits, as every prediction takes them,
+    over its held-out size. With DEBUG logging on, one record per call gives
+    every c's fold scores and mean, batched lambda-loop iterations and total
+    fold steps, and the chosen c.
     """
     Range(2).check("folds", folds)
     grid = sorted(set(float(c) for c in c_grid))
@@ -175,8 +175,8 @@ def cross_validate_c(
         if lam is not None and c_prev > 1.0:
             start = lam * ((1.0 - 1.0 / c) / (1.0 - 1.0 / c_prev))
         solved = solve_folds(DualProblem(matrix, c), ~heldout, start, tol=tol, max_iter=max_iter)
-        signs = np.where(terminals @ (solved.lam @ matrix).T >= 0.0, 1, -1)
-        fold_scores = ((signs == labels[:, None]) & heldout.T).sum(axis=0) / heldout.sum(axis=1)
+        signs = index_signs(index_means(solved.lam @ matrix, terminals))
+        fold_scores = ((signs == labels) & heldout).sum(axis=1) / heldout.sum(axis=1)
         trace.append((c, fold_scores, solved.iterations))
         lam, c_prev = solved.lam, c
     scores = [float(np.mean(fold_scores)) for _, fold_scores, _ in trace]

@@ -85,7 +85,7 @@ class DualProblem:
             warnings.warn(
                 f"c={self.c} <= 1: barrier term is maximized at lambda = 0",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass's generated __init__
             )
 
     @property

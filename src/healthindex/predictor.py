@@ -39,35 +39,56 @@ PREDICTION_COLUMNS = (
 )
 
 
-def _normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2.0)).astype(float))
 
 
-def _check_dim(posterior: WeightPosterior, x: np.ndarray) -> np.ndarray:
+def index_means(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """w.x for each row x of the (n, d) ``rows``, under weights of shape (d,)
+    or (F, d). Plain einsum calls no BLAS routine, so the floats follow
+    neither the OpenBLAS kernel nor where a row sits in memory."""
+    return np.einsum("...d,nd->...n", weights, rows)
+
+
+def index_signs(means: np.ndarray) -> np.ndarray:
+    """+1 where an index mean is >= 0 (a tie goes to +1), else -1."""
+    return np.where(means >= 0.0, 1, -1)
+
+
+def _index(posterior: WeightPosterior, rows: np.ndarray):
+    """Index means v.x, stds ||x|| and z = |v.x| / ||x|| (0 for x = 0) of the
+    rows x of ``rows``. A row whose ||x||^2 overflows takes its std and z
+    from x / s, s = max |x_i|."""
+    means = index_means(posterior.mean, rows)
+    with np.errstate(over="ignore"):
+        stds = np.sqrt(np.einsum("nd,nd->n", rows, rows))
+    big = np.isinf(stds)
+    z = np.divide(np.abs(means), stds, out=np.zeros_like(stds), where=(stds != 0.0) & ~big)
+    if big.any():
+        s = np.abs(rows[big]).max(axis=1)
+        _, scaled_stds, z[big] = _index(posterior, rows[big] / s[:, None])
+        stds[big] = s * scaled_stds
+    return means, stds, z
+
+
+def _row(model, x: Sequence[float]) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (posterior.d,):
-        raise DimensionMismatch(f"x has shape {x.shape}, expected ({posterior.d},)")
-    return x
+    if x.shape != (model.d,):
+        raise DimensionMismatch(f"x has shape {x.shape}, expected ({model.d},)")
+    return x[None]
 
 
 def predict(posterior: WeightPosterior, x: Sequence[float]) -> int:
     """Sign of the posterior-mean index; an exact tie goes to +1."""
-    x = _check_dim(posterior, x)
-    return 1 if float(posterior.mean @ x) >= 0.0 else -1
-
-
-def _index(posterior: WeightPosterior, x: np.ndarray) -> tuple[float, float]:
-    """The index mean v.x and standard deviation ||x|| of one visit x: the
-    one expression that prediction, confidence and trajectories share."""
-    return float(posterior.mean @ x), float(np.linalg.norm(x))
+    return int(index_signs(index_means(posterior.mean, _row(posterior, x)))[0])
 
 
 def confidence(posterior: WeightPosterior, x: Sequence[float]) -> float:
     """Phi(|v.x| / ||x||): the larger of the two class probabilities."""
-    mean, norm = _index(posterior, _check_dim(posterior, x))
-    if norm == 0.0:
+    _, norm, z = _index(posterior, _row(posterior, x))
+    if norm[0] == 0.0:
         raise ZeroFeatureVector("confidence undefined for an all-zero feature vector")
-    return _normal_cdf(abs(mean) / norm)
+    return float(_normal_cdf(z)[0])
 
 
 @dataclass(frozen=True)
@@ -93,11 +114,11 @@ def index_trajectory(
     if panel.d != posterior.d:
         raise DimensionMismatch(f"panel has d={panel.d}, posterior has d={posterior.d}")
     rows = slice(panel.offsets[j], panel.offsets[j + 1])
-    means, stds = zip(*(_index(posterior, x) for x in panel.observations[rows]))
+    means, stds, _ = _index(posterior, panel.observations[rows])
     return IndexTrajectory(
         times=tuple(panel.times[rows].tolist()),
-        means=means,
-        stds=stds,
+        means=tuple(means.tolist()),
+        stds=tuple(stds.tolist()),
         monotonicity_violations=int(np.sum(np.diff(means) < 0.0)),
     )
 
@@ -122,7 +143,7 @@ class Predictions:
         """The panel's subjects with terminal index ``mean``, a tie going to
         +1, and none abstained."""
         return cls(panel.subject_ids, panel.times[panel.offsets[1:] - 1], mean, std,
-                   np.where(mean >= 0.0, 1, -1), conf, np.zeros(len(mean), dtype=bool))
+                   index_signs(mean), conf, np.zeros(len(mean), dtype=bool))
 
     def __len__(self) -> int:
         return len(self.subject_ids)
@@ -140,17 +161,14 @@ class Predictions:
 
 
 def predict_panel(posterior: WeightPosterior, panel: LongitudinalPanel) -> Predictions:
-    """Each subject's index mean v.x and std ||x|| at its terminal visit x;
-    the same two floats give ``predict`` and ``confidence``. An all-zero
-    terminal visit carries no evidence: it gets the tie label +1 and
-    confidence 0.5, the lowest possible, so rate-based rejection abstains on
-    it first."""
+    """Each subject's index mean v.x and std ||x|| at its terminal visit x, as
+    ``predict`` and ``confidence`` take them. An all-zero terminal visit carries
+    no evidence: it gets the tie label +1 and confidence 0.5, the lowest
+    possible, so rate-based rejection abstains on it first."""
     if panel.d != posterior.d:
         raise DimensionMismatch(f"panel has d={panel.d}, posterior has d={posterior.d}")
-    index = [_index(posterior, x) for x in panel.terminals]
-    conf = [_normal_cdf(abs(mean) / std) if std != 0.0 else 0.5 for mean, std in index]
-    mean, std = np.array(index).T
-    return Predictions.at_terminals(panel, mean, std, np.array(conf))
+    mean, std, z = _index(posterior, panel.terminals)
+    return Predictions.at_terminals(panel, mean, std, _normal_cdf(z))
 
 
 def _confidence(preds: Predictions) -> np.ndarray:

@@ -474,6 +474,18 @@ class TestTrainPredictEvaluate:
         np.testing.assert_allclose(mean, json.loads(reference.read_text())["mean_weights"],
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("c", [0.5, 1])
+    def test_c_at_most_one_is_refused_in_one_line(self, tmp_path, capsys, c):
+        """c <= 1 puts every multiplier at 0, so the model would carry no
+        data: train says so in one line and writes no model."""
+        panel, model = simulate_panel(tmp_path), tmp_path / "m.json"
+        code, err = self.train_stderr(capsys, ["--panel", panel, "--out", model, "--c", c])
+        assert (code, err) == (2, [
+            f"error: margin prior rate c={float(c)} <= 1 puts every lambda at 0, so the model "
+            "carries no data and every prediction is +1; use c > 1"
+        ])
+        assert not model.exists()
+
 
 class TestSweep:
     def test_byte_identical_reruns(self, tmp_path):

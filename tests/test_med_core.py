@@ -179,6 +179,11 @@ class TestDualProblem:
         with pytest.raises(DomainError, match=f"row {bad_row} "):
             DualProblem(np.array(rows), c=2.0)
 
+    def test_c_at_most_one_warning_names_its_caller(self):
+        with pytest.warns(UserWarning, match="lambda = 0") as caught:
+            DualProblem(np.ones((3, 2)), c=1.0)
+        assert caught[0].filename == __file__
+
 
 class TestSolveDual:
     def test_barrier_only_solution(self):

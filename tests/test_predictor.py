@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,10 @@ class TestPredictPanel:
 
 
     def test_records_carry_the_floats_that_decide(self):
+        """A record's floats do not depend on where its row sits in memory:
+        the record, the last visit of the trajectory (a row of the panel
+        matrix) and predict/confidence on a copy of the row at an 8-byte
+        offset agree bit for bit."""
         rng = np.random.default_rng(12)
         for _ in range(20):
             d = int(rng.integers(1, 40))
@@ -253,13 +258,33 @@ class TestPredictPanel:
                 )
             )
             records = predict_panel(post, panel)
-            for i, s in enumerate(panel.subjects):
-                x = s.observations[-1]
-                assert records.t_last[i] == int(s.times[-1])
-                assert records.index_mean[i] == float(post.mean @ x)
-                assert records.index_std[i] == float(np.linalg.norm(x))
-                assert records.predicted_label[i] == predict(post, x)
-                assert records.confidence[i] == confidence(post, x)
+            for i, x in enumerate(panel.terminals):
+                traj = index_trajectory(post, panel, i)
+                assert records.t_last[i] == traj.times[-1]
+                assert (records.index_mean[i], records.index_std[i]) == (
+                    traj.means[-1], traj.stds[-1])
+                shifted = np.empty(d + 1)[1:]  # 8 bytes past an aligned allocation
+                shifted[:] = x
+                assert records.predicted_label[i] == predict(post, shifted)
+                assert records.confidence[i] == confidence(post, shifted)
+
+    def test_overflowing_norm_is_scaled(self):
+        """A subject 1e200 times another: ||x||^2 overflows, but its std is
+        1e200 times the other's and its confidence the other's (both within
+        rounding: 1e200 * x is rounded), without a numpy warning."""
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            d = int(rng.integers(1, 40))
+            rows = rng.normal(size=(2, d))
+            panel = panel_from_subjects(
+                (series(rows, sid="a"), series(rows * 1e200, sid="b"))
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                records = predict_panel(WeightPosterior(rng.normal(size=d)), panel)
+            assert records.index_std[1] == pytest.approx(1e200 * records.index_std[0],
+                                                         rel=1e-15)
+            assert records.confidence[1] == pytest.approx(records.confidence[0], rel=1e-15)
 
     def test_dimension_mismatch_names_both(self):
         panel = panel_from_subjects((series([[1.0, 2.0]]),))
