@@ -9,7 +9,6 @@ subgradient descent, a synthetic-panel simulator and an experiment harness.
 from .chi_baseline import ChiHyperparams, ChiModel, chi_objective, chi_predict, chi_train
 from .errors import (
     ConflictingLabels,
-    DegenerateProblem,
     DimensionMismatch,
     DomainError,
     DuplicateTimeIndex,
@@ -67,7 +66,6 @@ __all__ = [
     "ChiHyperparams",
     "ChiModel",
     "ConflictingLabels",
-    "DegenerateProblem",
     "DimensionMismatch",
     "DomainError",
     "DualProblem",

@@ -30,10 +30,6 @@ class DomainError(ValueError):
     """Multiplier vector outside the feasible box [0, c)."""
 
 
-class DegenerateProblem(ValueError):
-    """Dual problem whose maximizer sits on the boundary lambda = 0."""
-
-
 class NonConvergence(RuntimeError):
     """Solver hit its iteration budget before reaching tolerance.
 

@@ -22,7 +22,6 @@ The weight posterior under a standard normal prior is N(v(lam*), I).
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +31,6 @@ import numpy as np
 from .errors import (
     GE_ZERO,
     GT_ZERO,
-    DegenerateProblem,
     DimensionMismatch,
     DomainError,
     NonConvergence,
@@ -60,12 +58,8 @@ PRESOLVE_MAX_ITER = 150
 
 @dataclass(frozen=True)
 class DualProblem:
-    """Aggregate matrix (N, d) plus the finite margin-prior rate c > 0.
-
-    c <= 1 is legal but puts the barrier-only maximizer at lam = 0; a warning
-    flags it because such problems carry no data force at all when the
-    aggregates vanish.
-    """
+    """Aggregate matrix (N, d) plus the finite margin-prior rate c > 0; for
+    c <= 1 the maximizer is lam = 0, whatever the aggregates."""
 
     aggregates: np.ndarray
     c: float
@@ -81,12 +75,6 @@ class DualProblem:
         object.__setattr__(self, "aggregates", arr)
         object.__setattr__(self, "c", float(self.c))
         GT_ZERO.check("margin prior rate c", self.c)
-        if self.c <= 1:
-            warnings.warn(
-                f"c={self.c} <= 1: barrier term is maximized at lambda = 0",
-                UserWarning,
-                stacklevel=3,  # the caller of the dataclass's generated __init__
-            )
 
     @property
     def n_subjects(self) -> int:
@@ -375,7 +363,9 @@ def solve_folds(
 ) -> FoldSolutions:
     """``solve_dual`` on F row subsets of one problem, as one batch: fold f
     keeps the rows where the (F, N) mask ``keep[f]`` is True and starts from
-    row f of ``start`` (F, N), clipped into the box, or cold.
+    row f of ``start`` (F, N), clipped into the box, or cold. A fold whose
+    projected-gradient norm at lam = 0, sqrt(kept rows) * max(0, 1 - 1/c), is
+    within tol (every fold when c <= 1) starts there, certified in 0 steps.
 
     The folds with more kept rows than d share one batched potential
     presolve. Then one lambda loop steps every fold not yet certified, lam
@@ -388,7 +378,7 @@ def solve_folds(
     rows; when N > d, their (d, d) Woodbury cores. Raises ``NonConvergence``
     for the first uncertified fold in fold order, carrying its partial
     ``DualSolution`` over its kept rows; a non-finite norm names overflow
-    as its cause.
+    as its cause, at c when the fold's sum of row norms is finite.
     """
     GT_ZERO.check("tol", tol)
     GE_ZERO.check("max_iter", max_iter)
@@ -399,22 +389,18 @@ def solve_folds(
         raise DimensionMismatch(
             f"keep has shape {keep.shape}, expected (F, {n_subjects}) with a kept row per fold"
         )
-    tall = keep.sum(axis=1) > d
-    if c <= 1.0 or n_subjects > d:  # only then does a fold's zero-row test matter
-        signal = (keep & np.any(aggs, axis=1)).any(axis=1)
-        if c <= 1.0 and not signal.all():
-            raise DegenerateProblem(
-                "all aggregates are zero and c <= 1: maximizer is the boundary point lambda = 0"
-            )
-        tall &= signal
+    kept_rows = keep.sum(axis=1)
+    at_zero = np.sqrt(kept_rows) * max(0.0, 1.0 - 1.0 / c) <= tol
+    tall = (kept_rows > d) & ~at_zero
     if start is None:
-        cold = min(0.5, max((c - 1.0) / 2.0, 1e-3), upper / 2.0)
+        cold = min(0.5, max((c - 1.0) / 2.0, 1e-3))
         lam = np.where(keep, cold, 0.0)
     else:
         start = np.asarray(start, dtype=float)
         if start.shape != keep.shape:
             raise DimensionMismatch(f"start has shape {start.shape}, expected {keep.shape}")
         lam = np.where(keep, np.clip(start, 0.0, upper), 0.0)
+    lam[at_zero] = 0.0
     if tall.any():
         v0 = np.zeros((int(tall.sum()), d)) if start is None else lam[tall] @ aggs
         lam[tall] = _presolve_folds(aggs, keep[tall], c, v0)[1]
@@ -553,9 +539,13 @@ def solve_folds(
     for f in np.flatnonzero(~(pg_norm <= tol)):  # a NaN norm, from overflow, certifies nothing
         partial = DualSolution(lam[f, keep[f]], obj[f], pg_norm[f], int(iterations[f]), False)
         relation = ">" if pg_norm[f] > tol else "is not <="
-        cause = "" if np.isfinite(pg_norm[f]) else (
-            ": the dual objective overflows at the aggregates' scale; standardize the features"
-        )
+        cause = ""
+        if not np.isfinite(pg_norm[f]):
+            # ||v|| <= c * sum_n ||a_n||: if the aggregates' part is finite, c overflows J
+            blame = "the aggregates' scale; standardize the features"
+            if np.isfinite(np.sqrt(row_sq[keep[f]]).sum() ** 2):
+                blame = f"c={c:g}; use a smaller c"
+            cause = f": the dual objective overflows at {blame}"
         raise NonConvergence(
             f"projected gradient norm {pg_norm[f]:.3e} {relation} tol {tol:.3e} after "
             f"{iterations[f]} iterations{cause}",

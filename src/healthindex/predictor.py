@@ -46,8 +46,17 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
 def index_means(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """w.x for each row x of the (n, d) ``rows``, under weights of shape (d,)
     or (F, d). Plain einsum calls no BLAS routine, so the floats follow
-    neither the OpenBLAS kernel nor where a row sits in memory."""
-    return np.einsum("...d,nd->...n", weights, rows)
+    neither the OpenBLAS kernel nor where a row sits in memory. A mean that
+    overflows (inf, or NaN from inf - inf) is recomputed as s * (w.(x / s)),
+    s = max |x_i|, which keeps the sign of w.x."""
+    means = np.einsum("...d,nd->...n", weights, rows)
+    bad = np.nonzero(~np.isfinite(means))
+    if bad[0].size:
+        x = rows[bad[-1]]
+        s = np.abs(x).max(axis=1)
+        with np.errstate(over="ignore"):
+            means[bad] = s * np.einsum("...d,...d->...", weights[bad[:-1]], x / s[:, None])
+    return means
 
 
 def index_signs(means: np.ndarray) -> np.ndarray:

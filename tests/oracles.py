@@ -129,8 +129,6 @@ def cross_validate_c_cold(train_panel, c_grid, folds, seed):
     Every fold rebuilds its own training panel and aggregates, and every held-out
     subject is scored one at a time with ``predictor.predict``.
     """
-    import warnings
-
     from healthindex.harness import train_uqchi
     from healthindex.predictor import predict
 
@@ -153,9 +151,7 @@ def cross_validate_c_cold(train_panel, c_grid, folds, seed):
                 tuple(s for s in train_panel.subjects if s.subject_id not in heldout_set),
                 standardization=train_panel.standardization,
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                posterior, _, _ = train_uqchi(fold_train, c)
+            posterior, _, _ = train_uqchi(fold_train, c)
             eval_subjects = [s for s in train_panel.subjects if s.subject_id in heldout_set]
             correct = sum(
                 predict(posterior, s.observations[-1]) == s.label for s in eval_subjects

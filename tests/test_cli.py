@@ -425,6 +425,21 @@ class TestTrainPredictEvaluate:
         ])
         assert not model.exists()
 
+    @pytest.mark.parametrize("c", [1e154, 1e200, 1e300])
+    def test_overflowing_c_names_c(self, tmp_path, capsys, c):
+        """On a standardized panel the aggregates are small, and lam near a
+        huge c makes ||v||^2 overflow: one line names c, not the features."""
+        panel = simulate_panel(
+            tmp_path, **{"--d": 5, "--n-per-class": 20, "--label-observed-fraction": 0.5}
+        )
+        model = tmp_path / "m.json"
+        code, err = self.train_stderr(capsys, ["--panel", panel, "--out", model, "--c", c])
+        assert (code, err) == (3, [
+            "numerical failure: projected gradient norm inf > tol 1.000e-08 after 0 "
+            f"iterations: the dual objective overflows at c={c:g}; use a smaller c"
+        ])
+        assert not model.exists()
+
     def test_overflowing_chi_names_the_scale(self, tmp_path, capsys):
         panel, model = self.huge_panel(tmp_path), tmp_path / "m.json"
         code, err = self.train_stderr(

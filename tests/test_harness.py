@@ -23,6 +23,7 @@ from healthindex.harness import (
 )
 from healthindex.med_core import DualSolution
 from healthindex.panel import standardize
+from healthindex.predictor import predict_panel
 from healthindex.simulator import SimConfig, simulate
 
 
@@ -99,6 +100,21 @@ class TestTrainUqchi:
         noise = np.abs(posterior.mean[2:]).mean()
         assert informative > noise
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_c_one_gives_the_prior(self, caplog, seed):
+        """On 50 subjects in d = 90, c = 1 certifies lam = 0: the model is the
+        prior, every prediction is +1 with confidence 0.5, and c = 1 scores in
+        cross-validation as c = 0.5 does. A solve that stopped near lam =
+        1e-11 predicted -1 for 13 to 31 of the 50 subjects."""
+        panel = standardize(simulate(SimConfig(n_per_class=25, seed=seed))[0])
+        assert panel.d == 90
+        preds = predict_panel(train_uqchi(panel, 1.0)[0], panel)
+        assert (preds.predicted_label == 1).all() and (preds.confidence == 0.5).all()
+        with caplog.at_level(logging.DEBUG, harness.__name__):
+            cross_validate_c(panel, (0.5, 1.0, 2.0), folds=5, seed=seed)
+        (record,) = caplog.records
+        assert record.cv_grid[0]["mean"] == record.cv_grid[1]["mean"]
+
 
 class TestCrossValidateC:
     def build_panel(self, seed=11, n=30, strong=True):
@@ -171,9 +187,7 @@ class TestCrossValidateC:
                 seed=seed,
             )
             panel = standardize(simulate(config)[0])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # c <= 1 warns
-                chosen.append(cross_validate_c(panel, grid, folds=5, seed=seed))
+            chosen.append(cross_validate_c(panel, grid, folds=5, seed=seed))
             expected.append(cross_validate_c_cold(panel, grid, folds=5, seed=seed))
         assert chosen == expected
         assert len(set(expected)) > 1
@@ -200,7 +214,7 @@ class TestCrossValidateC:
             panel = standardize(simulate(config)[0])
             caplog.clear()
             with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, harness.__name__):
-                warnings.simplefilter("ignore")  # c <= 1 and the holdout fallback warn
+                warnings.filterwarnings("ignore", ".*single holdout", UserWarning)
                 chosen = cross_validate_c(panel, grid, folds=10, seed=seed)
                 expected, scores = cross_validate_c_per_fold(panel, grid, 10, seed)
             (record,) = caplog.records

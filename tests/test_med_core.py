@@ -10,12 +10,7 @@ from oracles import (
     mc_log_mean_exp,
 )
 
-from healthindex.errors import (
-    DegenerateProblem,
-    DimensionMismatch,
-    DomainError,
-    NonConvergence,
-)
+from healthindex.errors import DimensionMismatch, DomainError, NonConvergence
 from healthindex.harness import ExperimentSpec
 from healthindex.med_core import (
     DECREMENT_ULPS,
@@ -179,18 +174,15 @@ class TestDualProblem:
         with pytest.raises(DomainError, match=f"row {bad_row} "):
             DualProblem(np.array(rows), c=2.0)
 
-    def test_c_at_most_one_warning_names_its_caller(self):
-        with pytest.warns(UserWarning, match="lambda = 0") as caught:
-            DualProblem(np.ones((3, 2)), c=1.0)
-        assert caught[0].filename == __file__
-
 
 class TestSolveDual:
     def test_barrier_only_solution(self):
-        problem = DualProblem(np.zeros((4, 2)), c=3.0)
-        solution = solve_dual(problem)
-        assert solution.converged
-        np.testing.assert_allclose(solution.lam, np.full(4, 2.0), atol=1e-8)
+        """Zero aggregates leave only the barrier, maximized at lam = c - 1; a
+        tall problem's presolve reaches it exactly at its first Newton step."""
+        for n in (4, 30):
+            solution = solve_dual(DualProblem(np.zeros((n, 2)), c=3.0))
+            assert solution.converged
+            np.testing.assert_array_equal(solution.lam, np.full(n, 2.0))
 
     def test_scale_property_zeroed_aggregates(self):
         rng = np.random.default_rng(2)
@@ -230,11 +222,27 @@ class TestSolveDual:
             dual_objective(solution.lam, problem), rel=1e-12
         )
 
-    def test_degenerate_problem_rejected(self):
-        with pytest.warns(UserWarning):
-            problem = DualProblem(np.zeros((3, 2)), c=0.8)
-        with pytest.raises(DegenerateProblem):
-            solve_dual(problem)
+    @pytest.mark.parametrize("c", [0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("shape,scale", [((46, 90), 1.0), ((200, 20), 1.0), ((30, 2), 0.0)])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_c_at_most_one_is_certified_at_zero(self, c, shape, scale, warm):
+        """For c <= 1 every gradient entry at lam = 0 is 1 - 1/c <= 0, so
+        lam = 0 is the certified maximizer whatever the aggregates, zero ones
+        included: ``solve_dual`` and each fold of ``solve_folds`` return it
+        exactly, in 0 steps, ignoring any start. A cold N <= d solve at c = 1
+        used to stop near lam = 1e-11 after dozens of steps."""
+        rng = np.random.default_rng(shape[0])
+        problem = DualProblem(rng.normal(size=shape) * scale, c)
+        keep = _ten_folds(rng, shape[0])
+        start = rng.uniform(0.0, c, size=keep.shape) if warm else None
+        single = solve_dual(problem, start=None if start is None else start[0])
+        folds = solve_folds(problem, keep, start)
+        for lam, objective, grad_norm, iterations in [
+            (single.lam, single.objective, single.grad_norm, single.iterations),
+            *zip(folds.lam, folds.objective, folds.grad_norm, folds.iterations),
+        ]:
+            assert not lam.any()
+            assert (objective, grad_norm, iterations) == (0.0, 0.0, 0)
 
     def test_nonconvergence_raises_with_diagnostics(self):
         rng = np.random.default_rng(71)

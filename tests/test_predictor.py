@@ -286,6 +286,24 @@ class TestPredictPanel:
                                                          rel=1e-15)
             assert records.confidence[1] == pytest.approx(records.confidence[0], rel=1e-15)
 
+    def test_overflowing_mean_keeps_its_sign(self):
+        """A subject 1e307 times another, under weights of size 50: w.x
+        overflows, its terms of both signs, but the uqchi and chi index means
+        are infinities with the other subject's sign, and so are the labels,
+        without a numpy warning. The plain sum read NaN, and its label -1."""
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            d = int(rng.integers(2, 40))
+            row, w = rng.normal(size=(1, d)), rng.normal(size=d) * 50.0
+            panel = panel_from_subjects((series(row, sid="a"), series(row * 1e307, sid="b")))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                uqchi = predict_panel(WeightPosterior(w), panel)
+                chi = chi_predict_panel(ChiModel(w, 0.25), panel)
+            for records in (uqchi, chi):
+                assert records.index_mean[1] == math.copysign(math.inf, records.index_mean[0])
+                assert records.predicted_label[1] == records.predicted_label[0]
+
     def test_dimension_mismatch_names_both(self):
         panel = panel_from_subjects((series([[1.0, 2.0]]),))
         with pytest.raises(DimensionMismatch, match="panel has d=2, posterior has d=3"):
