@@ -224,19 +224,17 @@ def chi_predict_panel(model: ChiModel, panel: LongitudinalPanel) -> Predictions:
 def model_payload(
     model: ChiModel,
     hyper: ChiHyperparams,
-    standardization_dict: dict | None = None,
+    standardization_dict: dict,
 ) -> dict:
-    payload = {
+    return {
         "format_version": FORMAT_VERSION,
         "model": "chi",
         "d": model.d,
         "w": model.w.tolist(),
         "b": model.b,
         "hyper": hyper.to_dict(),
+        "standardization": standardization_dict,
     }
-    if standardization_dict is not None:
-        payload["standardization"] = standardization_dict
-    return payload
 
 
 def model_from_payload(payload: dict) -> ChiModel:

@@ -15,7 +15,6 @@ from pathlib import Path
 from . import chi_baseline, harness, med_core, predictor
 from .chi_baseline import ChiHyperparams
 from .errors import (
-    GE_ZERO,
     GT_ZERO,
     DimensionMismatch,
     NonConvergence,
@@ -84,8 +83,6 @@ def _add_train_parser(subparsers):
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--standardization-out", help="also write the sidecar JSON")
     p.add_argument("--c", type=float, default=1.5, help="margin prior rate (uqchi)")
-    p.add_argument("--tol", type=float, default=med_core.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=med_core.DEFAULT_MAX_ITER)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--lambda-var", type=float)
@@ -101,8 +98,6 @@ def _cmd_train(args) -> int:
         if args.c <= 1:
             raise ValueError(f"margin prior rate c={args.c} <= 1 puts every lambda at 0, so the "
                              "model carries no data and every prediction is +1; use c > 1")
-        GT_ZERO.check("tol", args.tol)
-        GE_ZERO.check("max_iter", args.max_iter)
     else:
         hyper = ChiHyperparams(**_fields_given(ChiHyperparams, args))
         Range(1).check("steps", args.steps)
@@ -112,13 +107,12 @@ def _cmd_train(args) -> int:
     standardization = panel.standardization
 
     if args.method == "uqchi":
-        _, solution, problem = harness.train_uqchi(
-            panel, args.c, tol=args.tol, max_iter=args.max_iter
-        )
+        _, solution, problem = harness.train_uqchi(panel, args.c)
         payload = med_core.model_payload(
             problem, solution, standardization_dict=standardization.to_dict()
         )
-        summary = f"iterations={solution.iterations}, objective={solution.objective:.6g}"
+        summary = (f"iterations={solution.iterations}, objective={solution.objective:.6g}, "
+                   f"grad_norm={solution.grad_norm:.3e}")
     else:
         model = chi_baseline.chi_train(
             panel, hyper, steps=args.steps, step_size=args.step_size
@@ -146,8 +140,8 @@ def _add_predict_parser(subparsers):
 
 
 def _read_model(path):
-    """The kind, model and standardization (or None) of a model file; a
-    missing or malformed field is refused naming the file and the field."""
+    """The kind, model and standardization of a model file; a missing or
+    malformed field is refused naming the file and the field."""
     payload = med_core.load_model(path)
     kind = payload.get("model")
     readers = {"med": med_core.posterior_from_payload, "chi": chi_baseline.model_from_payload}
@@ -155,12 +149,10 @@ def _read_model(path):
         raise ValueError(f"unknown model kind {kind!r} in {path}")
     try:
         model = readers[kind](payload)
-        standardization = None
-        if payload.get("standardization"):
-            standardization = json_field(payload, "standardization", Standardization.from_dict)
-            if standardization.mean.shape[0] != model.d:
-                raise DimensionMismatch(f"standardization holds {standardization.mean.shape[0]} "
-                                        f"features, d is {model.d}")
+        standardization = json_field(payload, "standardization", Standardization.from_dict)
+        if standardization.mean.shape[0] != model.d:
+            raise DimensionMismatch(f"standardization holds {standardization.mean.shape[0]} "
+                                    f"features, d is {model.d}")
     except ValueError as exc:
         raise ValueError(f"model file {path}: {exc}") from None
     return kind, model, standardization

@@ -95,14 +95,11 @@ def _score(preds: Predictions, truth: Mapping[str, int]) -> EvalResult:
 
 
 def train_uqchi(
-    train_panel: LongitudinalPanel,
-    c: float,
-    tol: float = med_core.DEFAULT_TOL,
-    max_iter: int = med_core.DEFAULT_MAX_ITER,
+    train_panel: LongitudinalPanel, c: float
 ) -> tuple[WeightPosterior, DualSolution, DualProblem]:
     """Aggregate the panel, solve the dual and return the weight posterior."""
     problem = DualProblem(aggregates(train_panel), c)
-    solution = solve_dual(problem, tol=tol, max_iter=max_iter)
+    solution = solve_dual(problem)
     return med_core.posterior(solution, problem), solution, problem
 
 
@@ -124,12 +121,7 @@ def _fold_sets(labeled: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
 
 
 def cross_validate_c(
-    train_panel: LongitudinalPanel,
-    c_grid: Sequence[float],
-    folds: int,
-    seed: int,
-    tol: float = med_core.DEFAULT_TOL,
-    max_iter: int = med_core.DEFAULT_MAX_ITER,
+    train_panel: LongitudinalPanel, c_grid: Sequence[float], folds: int, seed: int
 ) -> float:
     """Pick the margin rate maximizing mean fold accuracy; ties take the
     smallest c.
@@ -149,8 +141,8 @@ def cross_validate_c(
     means are one product lam @ A; a fold's accuracy is its count of correct
     index signs at held-out terminal visits, as every prediction takes them,
     over its held-out size. With DEBUG logging on, one record per call gives
-    every c's fold scores and mean, batched lambda-loop iterations and total
-    fold steps, and the chosen c.
+    every c's fold scores and mean, batched lambda-loop iterations, total
+    fold steps and largest fold projected-gradient norm, and the chosen c.
     """
     Range(2).check("folds", folds)
     grid = sorted(set(float(c) for c in c_grid))
@@ -174,18 +166,18 @@ def cross_validate_c(
         start = None
         if lam is not None and c_prev > 1.0:
             start = lam * ((1.0 - 1.0 / c) / (1.0 - 1.0 / c_prev))
-        solved = solve_folds(DualProblem(matrix, c), ~heldout, start, tol=tol, max_iter=max_iter)
+        solved = solve_folds(DualProblem(matrix, c), ~heldout, start)
         signs = index_signs(index_means(solved.lam @ matrix, terminals))
         fold_scores = ((signs == labels) & heldout).sum(axis=1) / heldout.sum(axis=1)
-        trace.append((c, fold_scores, solved.iterations))
+        trace.append((c, fold_scores, solved.iterations, float(solved.grad_norm.max())))
         lam, c_prev = solved.lam, c
-    scores = [float(np.mean(fold_scores)) for _, fold_scores, _ in trace]
+    scores = [float(np.mean(fold_scores)) for _, fold_scores, _, _ in trace]
     chosen = grid[int(np.argmax(scores))]
     if logger.isEnabledFor(logging.DEBUG):
         record = [
             dict(c=c, fold_scores=fold_scores.tolist(), mean=score, fold_steps=int(steps.sum()),
-                 lambda_loop_iterations=int(steps.max()))
-            for (c, fold_scores, steps), score in zip(trace, scores)
+                 lambda_loop_iterations=int(steps.max()), max_grad_norm=grad_norm)
+            for (c, fold_scores, steps, grad_norm), score in zip(trace, scores)
         ]
         extra = {"cv_grid": record, "chosen_c": chosen}
         logger.debug("cross_validate_c chose c=%r over %s", chosen, record, extra=extra)
@@ -227,8 +219,6 @@ class ExperimentSpec(Config):
     chi_hyper: ChiHyperparams = field(default_factory=ChiHyperparams)
     chi_steps: Annotated[int, Range(1)] = 400
     chi_step_size: Annotated[float, GT_ZERO] = 0.01
-    solver_tol: Annotated[float, GT_ZERO] = med_core.DEFAULT_TOL
-    solver_max_iter: Annotated[int, Range(1)] = med_core.DEFAULT_MAX_ITER
     seed: Annotated[int, GE_ZERO] = 0
 
     def __post_init__(self):
@@ -343,18 +333,11 @@ def _uqchi_cell(
     subject every rate logs (None, 0, chosen_c), as the chi cell does."""
     if c_value is None:
         chosen_c = cross_validate_c(
-            train_s,
-            spec.c_grid,
-            spec.cv_folds,
-            seed=spec.seed + seed_index + _CV_SEED_OFFSET,
-            tol=spec.solver_tol,
-            max_iter=spec.solver_max_iter,
+            train_s, spec.c_grid, spec.cv_folds, seed=spec.seed + seed_index + _CV_SEED_OFFSET
         )
     else:
         chosen_c = c_value
-    posterior, _, _ = train_uqchi(
-        train_s, chosen_c, tol=spec.solver_tol, max_iter=spec.solver_max_iter
-    )
+    posterior, _, _ = train_uqchi(train_s, chosen_c)
     preds = predict_panel(posterior, test_s).subset(scored)
     if not len(preds):
         return [(None, 0, chosen_c)] * len(spec.rejection_rates)

@@ -571,11 +571,11 @@ def posterior(solution: DualSolution, problem: DualProblem) -> WeightPosterior:
 def model_payload(
     problem: DualProblem,
     solution: DualSolution,
-    standardization_dict: dict | None = None,
+    standardization_dict: dict,
 ) -> dict:
     """JSON-ready dict holding the solution, posterior mean and provenance."""
     post = posterior(solution, problem)
-    payload = {
+    return {
         "format_version": FORMAT_VERSION,
         "model": "med",
         "d": problem.d,
@@ -588,10 +588,8 @@ def model_payload(
             "grad_norm": solution.grad_norm,
             "iterations": solution.iterations,
         },
+        "standardization": standardization_dict,
     }
-    if standardization_dict is not None:
-        payload["standardization"] = standardization_dict
-    return payload
 
 
 def save_model(path, payload: dict) -> None:

@@ -337,7 +337,7 @@ class TestPayload:
     def test_round_trip(self):
         model = ChiModel(np.array([0.5, -0.25]), 1.5)
         hyper = ChiHyperparams(alpha=2.0)
-        payload = model_payload(model, hyper)
+        payload = model_payload(model, hyper, {"mean": [0.0, 0.0], "scale": [1.0, 1.0]})
         again = model_from_payload(payload)
         np.testing.assert_array_equal(again.w, model.w)
         assert again.b == model.b

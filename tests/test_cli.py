@@ -8,12 +8,21 @@ import pytest
 from oracles import panel_from_subjects
 
 from healthindex.cli import main
+from healthindex.med_core import DEFAULT_TOL
 from healthindex.panel import load_panel, write_panel
 from healthindex.simulator import SimConfig
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def exit_code(args):
+    """``run``'s exit code, or argparse's for a command line it refuses."""
+    try:
+        return run(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def simulate_panel(tmp_path, **extra):
@@ -68,6 +77,10 @@ class TestTrainPredictEvaluate:
             ["train", "--panel", panel, "--out", model, "--method", "uqchi",
              "--c", 1.5, "--standardization-out", sidecar]
         ) == 0
+        # the summary line reports the certificate the model file carries
+        summary = capsys.readouterr().out
+        grad_norm = float(summary.split("grad_norm=")[1].split(")")[0])
+        assert grad_norm <= DEFAULT_TOL
         payload = json.loads(model.read_text())
         assert payload["model"] == "med"
         assert len(payload["standardization"]["mean"]) == 6
@@ -191,6 +204,15 @@ class TestTrainPredictEvaluate:
             ("chi", lambda p: p.update(d=7), "d is 7, but w holds 6 weights"),
             ("chi", lambda p: p.pop("b"), "field 'b' is missing"),
             ("chi", lambda p: p.update(b="x"), "b: could not convert string to float: 'x'"),
+            # every model file train writes carries its standardization, the
+            # identity under --no-standardize, and predict applies it
+            ("uqchi", lambda p: p.pop("standardization"), "field 'standardization' is missing"),
+            ("uqchi", lambda p: p.update(standardization={}),
+             "standardization: field 'mean' is missing"),
+            ("chi", lambda p: p.update(standardization=[]),
+             "standardization: must be a JSON object, got list"),
+            ("chi", lambda p: p.update(standardization=None),
+             "standardization: must be a JSON object, got NoneType"),
         ],
     )
     def test_malformed_model_field_exits_2(self, tmp_path, capsys, method, edit, named):
@@ -214,16 +236,17 @@ class TestTrainPredictEvaluate:
         [
             (["--c", "nan"], "margin prior rate c must be finite and positive, got nan"),
             (["--c", "inf"], "margin prior rate c must be finite and positive, got inf"),
-            (["--tol", "nan"], "tol must be finite and positive, got nan"),
-            (["--max-iter", -5], "max_iter must be non-negative, got -5"),
+            (["--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
+            (["--max-iter", 5], "unrecognized arguments: --max-iter 5"),
             (["--method", "chi", "--step-size", "nan"], "step_size must be finite and positive, got nan"),
             (["--method", "chi", "--step-size", "inf"], "step_size must be finite and positive, got inf"),
         ],
     )
     def test_bad_numeric_train_flag_exits_2(self, tmp_path, capsys, flags, named):
+        """A bad value, or a solver setting, which train does not take."""
         panel = simulate_panel(tmp_path)
         model = tmp_path / "model.json"
-        assert run(["train", "--panel", panel, "--out", model] + flags) == 2
+        assert exit_code(["train", "--panel", panel, "--out", model] + flags) == 2
         assert named in capsys.readouterr().err
         assert not model.exists()
 
@@ -231,8 +254,8 @@ class TestTrainPredictEvaluate:
         "flags,named",
         [
             (["train", "--c", "nan"], "margin prior rate c must be finite and positive, got nan"),
-            (["train", "--tol", "0"], "tol must be finite and positive, got 0.0"),
-            (["train", "--max-iter", -1], "max_iter must be non-negative, got -1"),
+            (["train", "--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
+            (["train", "--max-iter", 5], "unrecognized arguments: --max-iter 5"),
             (["train", "--method", "chi", "--steps", 0], "steps must be >= 1, got 0"),
             (["train", "--method", "chi", "--step-size", "nan"],
              "step_size must be finite and positive, got nan"),
@@ -248,7 +271,7 @@ class TestTrainPredictEvaluate:
     ):
         """The panel and model files do not exist; the flag is named, not them."""
         monkeypatch.chdir(tmp_path)
-        assert run(flags + ["--panel", "nope.csv", "--out", "out"]) == 2
+        assert exit_code(flags + ["--panel", "nope.csv", "--out", "out"]) == 2
         err = capsys.readouterr().err
         assert named in err
         assert "nope" not in err
@@ -588,7 +611,7 @@ class TestSweep:
             ({"sim": 5}, "SimConfig must be a JSON object"),
             ({"n_seeds": 2.5}, "n_seeds must be an integer, got 2.5"),
             ({"chi_hyper": None}, "chi_hyper must be a ChiHyperparams object, got None"),
-            ({"solver_tol": "x"}, "solver_tol must be a real number, got 'x'"),
+            ({"solver_tol": 1e-8}, "unknown ExperimentSpec keys: solver_tol"),
             ({"fixed_c": True}, "fixed_c must be a real number, got True"),
             ({"chi_step_size": "0.1"}, "chi_step_size must be a real number, got '0.1'"),
             ({"c_policy": "fixed", "fixed_c": None}, "fixed_c must be a real number, got None"),
@@ -607,10 +630,12 @@ class TestSweep:
             ({"fixed_c": -2.0}, "fixed_c must be finite and positive, got -2.0"),
             ({"fixed_c": 0.0}, "fixed_c must be finite and positive, got 0.0"),
             ({"fixed_c": float("nan")}, "fixed_c must be finite and positive, got nan"),
-            ({"solver_tol": -1.0}, "solver_tol must be finite and positive, got -1.0"),
-            ({"solver_tol": float("nan")}, "solver_tol must be finite and positive, got nan"),
-            ({"solver_max_iter": 0}, "solver_max_iter must be >= 1, got 0"),
-            ({"solver_max_iter": -3}, "solver_max_iter must be >= 1, got -3"),
+            ({"solver_max_iter": 5}, "unknown ExperimentSpec keys: solver_max_iter"),
+            # the solver settings are refused by name, whatever their value
+            ({"solver_tol": float("nan")}, "unknown ExperimentSpec keys: solver_tol"),
+            ({"solver_max_iter": 0}, "unknown ExperimentSpec keys: solver_max_iter"),
+            ({"solver_tol": 1e-8, "solver_max_iter": 10_000},
+             "unknown ExperimentSpec keys: solver_max_iter, solver_tol"),
             ({"chi_steps": 0}, "chi_steps must be >= 1, got 0"),
             ({"chi_step_size": 0.0}, "chi_step_size must be finite and positive, got 0.0"),
             ({"chi_step_size": float("inf")}, "chi_step_size must be finite and positive, got inf"),

@@ -21,7 +21,7 @@ from healthindex.harness import (
     run_pipeline,
     train_uqchi,
 )
-from healthindex.med_core import DualSolution
+from healthindex.med_core import DEFAULT_TOL, DualSolution
 from healthindex.panel import standardize
 from healthindex.predictor import predict_panel
 from healthindex.simulator import SimConfig, simulate
@@ -235,6 +235,7 @@ class TestCrossValidateC:
             assert len(row["fold_scores"]) == 4
             assert row["mean"] == float(np.mean(row["fold_scores"]))
             assert 0 < row["lambda_loop_iterations"] <= row["fold_steps"]
+            assert 0 <= row["max_grad_norm"] <= DEFAULT_TOL
         assert f"c={chosen!r}" in record.getMessage()
 
     def test_no_record_without_debug(self, caplog):
