@@ -30,7 +30,6 @@ from .panel import (  # noqa: F401
     fit_standardization,
     load_observed_labels,
     load_panel,
-    save_standardization,
 )
 from .simulator import SimConfig, simulate_to_files
 
@@ -81,7 +80,6 @@ def _add_train_parser(subparsers):
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--method", choices=("uqchi", "chi"), default="uqchi")
     p.add_argument("--no-standardize", action="store_true")
-    p.add_argument("--standardization-out", help="also write the sidecar JSON")
     p.add_argument("--c", type=float, default=1.5, help="margin prior rate (uqchi)")
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
@@ -123,9 +121,6 @@ def _cmd_train(args) -> int:
         summary = f"|w|_1={float(abs(model.w).sum()):.6g}, b={model.b:.6g}"
     med_core.save_model(args.out, payload)
     print(f"wrote {args.out} ({summary})")
-
-    if args.standardization_out:
-        save_standardization(standardization, args.standardization_out)
     return EXIT_OK
 
 
@@ -219,8 +214,7 @@ def _add_sweep_parser(subparsers):
     p.add_argument("--out-dir", required=True)
     p.add_argument("--panel", help="panel CSV data source (overrides simulation)")
     p.add_argument("--c-grid", type=_floats, default=None)
-    p.add_argument("--c-policy", choices=("cv", "fixed", "sweep"), default=None)
-    p.add_argument("--fixed-c", type=float, default=None)
+    p.add_argument("--c-policy", choices=("cv", "sweep"), default=None)
     p.add_argument("--label-ratios", type=_floats, default=None)
     p.add_argument("--train-ratios", type=_floats, default=None)
     p.add_argument("--rejection-rates", type=_floats, default=None)

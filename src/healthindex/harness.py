@@ -189,7 +189,6 @@ def cross_validate_c(
 
 
 C_POLICY_CV = "cv"
-C_POLICY_FIXED = "fixed"
 C_POLICY_SWEEP = "sweep"
 
 
@@ -203,13 +202,19 @@ def default_sim_config() -> SimConfig:
 
 @dataclass(frozen=True)
 class ExperimentSpec(Config):
-    """Grid definition plus data source (simulation config or a panel CSV)."""
+    """Grid definition plus data source (simulation config or a panel CSV).
+
+    ``c_policy`` "cv" picks c per split by cross-validation over ``c_grid``;
+    "sweep" makes one cell per ``c_grid`` entry, so a fixed c is a one-entry
+    grid. The default ``sim`` is fully labeled, but a ``sim`` object in a
+    spec file builds a whole SimConfig whose omitted fields take SimConfig's
+    defaults, ``label_observed_fraction`` 0.2 among them.
+    """
 
     sim: SimConfig | None = field(default_factory=default_sim_config)
     panel_csv: str | None = None
     c_grid: Annotated[tuple[float, ...], GT_ZERO] = (1.5, 3.0, 5.0, 10.0, 20.0, 100.0)
     c_policy: str = C_POLICY_CV
-    fixed_c: Annotated[float, GT_ZERO] = 1.5
     label_ratios: Annotated[tuple[float, ...], _OPEN_UNIT] = (0.1, 0.2, 0.5)
     train_ratios: Annotated[tuple[float, ...], _OPEN_UNIT] = (0.3, 0.5, 0.7)
     rejection_rates: Annotated[tuple[float, ...], Range(0, 1, open_high=True)] = (0.2, 0.4, 0.6)
@@ -237,10 +242,16 @@ class ExperimentSpec(Config):
                     "sim.label_observed_fraction hides every simulated label, "
                     "and a chi cell needs one"
                 )
-        if self.c_policy not in (C_POLICY_CV, C_POLICY_FIXED, C_POLICY_SWEEP):
+        if self.c_policy not in (C_POLICY_CV, C_POLICY_SWEEP):
             raise ValueError(f"unknown c policy {self.c_policy!r}")
         if set(self.baselines) - {METHOD_UQCHI, METHOD_CHI}:
             raise ValueError(f"baselines must be drawn from uqchi/chi, got {self.baselines}")
+        # a repeated entry would log each of its runs twice under one cell key
+        for name in ("c_grid", "label_ratios", "train_ratios", "rejection_rates", "baselines"):
+            entries = getattr(self, name)
+            repeated = next((v for i, v in enumerate(entries) if v in entries[:i]), None)
+            if repeated is not None:
+                raise ValueError(f"{name} repeats the entry {repeated!r}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -305,8 +316,6 @@ class PipelineResult:
 def _c_cells(spec: ExperimentSpec) -> list[tuple[str, float | None]]:
     if spec.c_policy == C_POLICY_SWEEP:
         return [(repr(c), c) for c in spec.c_grid]
-    if spec.c_policy == C_POLICY_FIXED:
-        return [(repr(spec.fixed_c), spec.fixed_c)]
     return [(C_POLICY_CV, None)]
 
 

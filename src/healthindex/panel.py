@@ -11,12 +11,10 @@ solver.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import compress, islice
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -273,10 +271,6 @@ def apply_standardization(
 def standardize(panel: LongitudinalPanel) -> LongitudinalPanel:
     """Fit on the panel itself and apply."""
     return apply_standardization(panel, fit_standardization(panel))
-
-
-def save_standardization(standardization: Standardization, path) -> None:
-    Path(path).write_text(json.dumps(standardization.to_dict(), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

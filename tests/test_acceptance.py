@@ -17,7 +17,6 @@ from oracles import central_diff_gradient, dual_value_grid_2d, mc_log_mean_exp
 
 from healthindex.cli import main as cli_main
 from healthindex.harness import (
-    C_POLICY_FIXED,
     C_POLICY_SWEEP,
     ExperimentSpec,
     run_pipeline,
@@ -46,8 +45,8 @@ def report(number, passed, detail, elapsed=None, limit=None):
 def trend_spec(**overrides):
     base = dict(
         sim=SimConfig(label_observed_fraction=1.0, seed=0),
-        c_policy=C_POLICY_FIXED,
-        fixed_c=1.5,
+        c_policy=C_POLICY_SWEEP,
+        c_grid=(1.5,),
         label_ratios=(0.2,),
         train_ratios=(0.7,),
         rejection_rates=(0.0,),
@@ -326,8 +325,8 @@ def test_criterion_10_sweep_determinism(tmp_path):
             "label_observed_fraction": 1.0,
             "seed": 0,
         },
-        "c_policy": "fixed",
-        "fixed_c": 1.5,
+        "c_policy": "sweep",
+        "c_grid": [1.5],
         "label_ratios": [0.2],
         "train_ratios": [0.7],
         "rejection_rates": [0.2, 0.4],

@@ -72,10 +72,8 @@ class TestTrainPredictEvaluate:
     def test_uqchi_round_trip(self, tmp_path, capsys):
         panel = simulate_panel(tmp_path)
         model = tmp_path / "model.json"
-        sidecar = tmp_path / "std.json"
         assert run(
-            ["train", "--panel", panel, "--out", model, "--method", "uqchi",
-             "--c", 1.5, "--standardization-out", sidecar]
+            ["train", "--panel", panel, "--out", model, "--method", "uqchi", "--c", 1.5]
         ) == 0
         # the summary line reports the certificate the model file carries
         summary = capsys.readouterr().out
@@ -84,7 +82,6 @@ class TestTrainPredictEvaluate:
         payload = json.loads(model.read_text())
         assert payload["model"] == "med"
         assert len(payload["standardization"]["mean"]) == 6
-        assert json.loads(sidecar.read_text())["mean"] == payload["standardization"]["mean"]
 
         preds = tmp_path / "preds.csv"
         assert run(
@@ -240,10 +237,12 @@ class TestTrainPredictEvaluate:
             (["--max-iter", 5], "unrecognized arguments: --max-iter 5"),
             (["--method", "chi", "--step-size", "nan"], "step_size must be finite and positive, got nan"),
             (["--method", "chi", "--step-size", "inf"], "step_size must be finite and positive, got inf"),
+            (["--standardization-out", "x"], "unrecognized arguments: --standardization-out x"),
         ],
     )
     def test_bad_numeric_train_flag_exits_2(self, tmp_path, capsys, flags, named):
-        """A bad value, or a solver setting, which train does not take."""
+        """A bad value, or an option train does not take: a solver setting or
+        a standardization sidecar (the model file carries the standardization)."""
         panel = simulate_panel(tmp_path)
         model = tmp_path / "model.json"
         assert exit_code(["train", "--panel", panel, "--out", model] + flags) == 2
@@ -537,8 +536,8 @@ class TestSweep:
                 "label_observed_fraction": 1.0,
                 "seed": 0,
             },
-            "c_policy": "fixed",
-            "fixed_c": 1.5,
+            "c_policy": "sweep",
+            "c_grid": [1.5],
             "label_ratios": [0.2],
             "train_ratios": [0.6],
             "rejection_rates": [0.0, 0.4],
@@ -558,7 +557,7 @@ class TestSweep:
         code = run(
             ["sweep", "--out-dir", out, "--n-seeds", 1, "--train-ratios", "0.6",
              "--label-ratios", "0.2", "--rejection-rates", "0.2",
-             "--c-policy", "fixed", "--fixed-c", "1.5", "--baselines", "uqchi",
+             "--c-policy", "sweep", "--c-grid", "1.5", "--baselines", "uqchi",
              "--degradation-rate", 0.7]
         )
         assert code == 0
@@ -575,7 +574,7 @@ class TestSweep:
         code = run(
             ["sweep", "--out-dir", out, "--panel", panel, "--n-seeds", 1,
              "--train-ratios", "0.6", "--label-ratios", "0.2", "--rejection-rates", "0.2",
-             "--c-policy", "fixed", "--fixed-c", "1.5", "--baselines", "uqchi"]
+             "--c-policy", "sweep", "--c-grid", "1.5", "--baselines", "uqchi"]
         )
         assert code == 0
         spec_echo = json.loads((out / "spec.json").read_text())
@@ -612,9 +611,10 @@ class TestSweep:
             ({"n_seeds": 2.5}, "n_seeds must be an integer, got 2.5"),
             ({"chi_hyper": None}, "chi_hyper must be a ChiHyperparams object, got None"),
             ({"solver_tol": 1e-8}, "unknown ExperimentSpec keys: solver_tol"),
-            ({"fixed_c": True}, "fixed_c must be a real number, got True"),
+            # a fixed c is the one-entry sweep c_policy "sweep", c_grid [c]
+            ({"fixed_c": 1.5}, "unknown ExperimentSpec keys: fixed_c"),
             ({"chi_step_size": "0.1"}, "chi_step_size must be a real number, got '0.1'"),
-            ({"c_policy": "fixed", "fixed_c": None}, "fixed_c must be a real number, got None"),
+            ({"c_policy": "fixed"}, "unknown c policy 'fixed'"),
             ({"chi_hyper": {"alpha": "0.1"}}, "alpha must be a real number, got '0.1'"),
             ({"chi_hyper": {"beta": False}}, "beta must be a real number, got False"),
             ({"chi_hyper": {"lambda_var": None}}, "lambda_var must be a real number, got None"),
@@ -627,9 +627,10 @@ class TestSweep:
             ({"c_grid": [[1.5]]}, "c_grid must be a non-empty list of real numbers, got [[1.5]]"),
             ({"c_grid": [-1.0]}, "c_grid entries must be finite and positive, got -1.0"),
             ({"c_grid": [float("nan")]}, "c_grid entries must be finite and positive, got nan"),
-            ({"fixed_c": -2.0}, "fixed_c must be finite and positive, got -2.0"),
-            ({"fixed_c": 0.0}, "fixed_c must be finite and positive, got 0.0"),
-            ({"fixed_c": float("nan")}, "fixed_c must be finite and positive, got nan"),
+            # a repeated entry would log its runs twice under one cell key
+            ({"c_policy": "sweep", "c_grid": [1.5, 1.5]}, "c_grid repeats the entry 1.5"),
+            ({"c_grid": [1.5, 3.0, 1.5]}, "c_grid repeats the entry 1.5"),
+            ({"c_grid": [3, 3.0]}, "c_grid repeats the entry 3.0"),
             ({"solver_max_iter": 5}, "unknown ExperimentSpec keys: solver_max_iter"),
             # the solver settings are refused by name, whatever their value
             ({"solver_tol": float("nan")}, "unknown ExperimentSpec keys: solver_tol"),
@@ -650,6 +651,10 @@ class TestSweep:
              "noise_sigmas entries must be finite and non-negative, got nan"),
             ({"sim": {"seed": -1}}, "seed must be non-negative, got -1"),
             ({"sim": {"seed": 3}}, "sim.seed is not a sweep knob"),
+            ({"label_ratios": [0.2, 0.2]}, "label_ratios repeats the entry 0.2"),
+            ({"train_ratios": [0.6, 0.6]}, "train_ratios repeats the entry 0.6"),
+            ({"rejection_rates": [0.2, 0.4, 0.2]}, "rejection_rates repeats the entry 0.2"),
+            ({"baselines": ["chi", "uqchi", "chi"]}, "baselines repeats the entry 'chi'"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, payload, named):
@@ -664,6 +669,21 @@ class TestSweep:
             sim_fields = {f.name for f in dataclasses.fields(SimConfig)}
             assert f"error: sim.{named}" in err if field in sim_fields else "error: sim: " in err
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--fixed-c", "1.5"], "unrecognized arguments: --fixed-c 1.5"),
+            (["--c-policy", "fixed"], "invalid choice: 'fixed'"),
+            (["--c-policy", "sweep", "--c-grid", "1.5,1.50"], "c_grid repeats the entry 1.5"),
+            (["--train-ratios", "0.6,0.6"], "train_ratios repeats the entry 0.6"),
+        ],
+    )
+    def test_bad_sweep_flag_exits_2(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "o"
+        assert exit_code(["sweep", "--out-dir", out, "--n-seeds", 1] + flags) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_split_is_logged_and_the_sweep_goes_on(self, tmp_path):
         """One subject per class leaves an empty side at train ratio 0.2;
         every cell of that split logs the error."""
@@ -671,7 +691,8 @@ class TestSweep:
         config.write_text(json.dumps({
             "sim": {"d": 4, "n_per_class": 1, "informative_k": 1,
                     "label_observed_fraction": 1.0},
-            "train_ratios": [0.2], "label_ratios": [0.5], "n_seeds": 1, "c_policy": "fixed",
+            "train_ratios": [0.2], "label_ratios": [0.5], "n_seeds": 1, "c_policy": "sweep",
+            "c_grid": [1.5],
         }))
         out = tmp_path / "o"
         assert run(["sweep", "--config", config, "--out-dir", out]) == 0

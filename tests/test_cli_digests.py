@@ -42,8 +42,7 @@ DIGESTS = Path(__file__).with_name("cli_digests.json")
 _STEPS = [
     ["simulate", "--out", "@panel.csv", "--echo", "@echo.json",
      "--n-per-class", "100", "--d", "90", "--seed", "5"],
-    ["train", "--panel", "@panel.csv", "--out", "@uqchi.json", "--method", "uqchi",
-     "--standardization-out", "@standardization.json"],
+    ["train", "--panel", "@panel.csv", "--out", "@uqchi.json", "--method", "uqchi"],
     ["train", "--panel", "@panel.csv", "--out", "@chi.json", "--method", "chi"],
     ["predict", "--model", "@uqchi.json", "--panel", "@panel.csv", "--out", "@predictions.csv"],
     ["predict", "--model", "@uqchi.json", "--panel", "@panel.csv", "--out", "@rate.csv",

@@ -12,7 +12,6 @@ from healthindex import harness
 from healthindex.chi_baseline import ChiHyperparams
 from healthindex.errors import NonConvergence
 from healthindex.harness import (
-    C_POLICY_FIXED,
     C_POLICY_SWEEP,
     ExperimentSpec,
     cross_validate_c,
@@ -42,8 +41,8 @@ def tiny_spec(**overrides):
             label_observed_fraction=1.0,
             seed=0,
         ),
-        c_policy=C_POLICY_FIXED,
-        fixed_c=1.5,
+        c_policy=C_POLICY_SWEEP,
+        c_grid=(1.5,),
         label_ratios=(0.2,),
         train_ratios=(0.7,),
         rejection_rates=(0.0, 0.4),
@@ -289,9 +288,16 @@ class TestExperimentSpec:
             ExperimentSpec(c_policy="random")
         with pytest.raises(ValueError):
             ExperimentSpec(sim=None, panel_csv=None)
-        # None would make the fixed cell cross-validate while logging "None"
-        with pytest.raises(ValueError, match="fixed_c must be a real number, got None"):
-            ExperimentSpec(c_policy=C_POLICY_FIXED, fixed_c=None)
+        # a fixed c is the one-entry sweep c_policy="sweep", c_grid=(c,)
+        with pytest.raises(ValueError, match="unknown c policy 'fixed'"):
+            ExperimentSpec(c_policy="fixed")
+        with pytest.raises(ValueError, match="unknown ExperimentSpec keys: fixed_c"):
+            ExperimentSpec.from_dict({"fixed_c": 1.5})
+        # a repeated entry would log its runs twice under one cell key
+        with pytest.raises(ValueError, match="c_grid repeats the entry 1.5"):
+            ExperimentSpec(c_policy=C_POLICY_SWEEP, c_grid=(1.5, 3.0, 1.5))
+        with pytest.raises(ValueError, match="rejection_rates repeats the entry 0.2"):
+            ExperimentSpec(rejection_rates=(0.2, 0.2))
 
     def test_json_round_trip(self, tmp_path):
         spec = tiny_spec(chi_hyper=ChiHyperparams(alpha=2.0))

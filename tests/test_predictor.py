@@ -188,6 +188,8 @@ class TestRejectByRate:
             [record(f"s{i}", c) for i, c in enumerate([0.9, 0.5, 0.7, 0.6, 0.8])]
         )
         assert rejected(reject_by_rate(records, 0.4)) == ["s1", "s3"]
+        # 0.5 * 5 = 2.5 rounds down
+        assert rejected(reject_by_rate(records, 0.5)) == ["s1", "s3"]
 
     def test_ties_break_by_input_order(self):
         records = predictions([record(f"s{i}", 0.75) for i in range(4)])

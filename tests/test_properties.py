@@ -247,7 +247,7 @@ EDGE_VALUES = ["x", True, None, math.nan, math.inf, -math.inf, -1, 0, [], [[1.5]
 @given(
     st.sampled_from(EDGE_VALUES),
     st.booleans(),
-    st.sampled_from(["cv", "fixed", "sweep"]),
+    st.sampled_from(["cv", "sweep"]),
 )
 def test_config_edge_is_refused_or_sweeps_without_failure(value, as_list, c_policy):
     """Set each field in turn to the edge value (or a one-entry list of it):
