@@ -15,6 +15,9 @@ each fold's Newton system on its diagonally scaled epsilon-active set per
 step, and an Armijo search along each fold's projection arc. A fold with
 more rows than d is warm-started from an equivalent d-dimensional strongly
 convex problem (one batched presolve), or from a caller's multipliers.
+Like the presolve, the loop keeps each fold's state in place and steps
+the folds still moving. A fold leaves certified, stuck (no point on either
+arc is acceptable) or at max_iter; ``NonConvergence`` names the last two.
 ``solve_dual`` is the batch of one fold that keeps every row.
 The weight posterior under a standard normal prior is N(v(lam*), I).
 """
@@ -327,8 +330,9 @@ def solve_dual(
     hides J's progress, so it must strictly shrink the projected-gradient
     norm, which short gradient steps do but a coupled Newton move need not.
     Exits once that norm reaches ``tol``, which certifies the KKT conditions
-    componentwise; otherwise, a NaN norm from overflowing aggregates
-    included, raises ``NonConvergence`` carrying the last iterate.
+    componentwise. Otherwise, stuck where no point on either arc passes or
+    after ``max_iter`` steps, raises ``NonConvergence`` carrying the last
+    iterate and naming which, or overflow for a norm that is not finite.
     ``iterations`` counts accepted steps. Deterministic. This is
     ``solve_folds`` on a batch of one fold that keeps every row.
     """
@@ -372,13 +376,14 @@ def solve_folds(
     of shape (F, N); a held-out row has the box [0, 0], so it stays at 0.
     Each fold keeps its own epsilon-active set, arc search and halvings,
     projected-gradient fallback arc, step count and certificate; a certified
-    fold stops moving. One batched solve per step serves the moving folds:
-    when N <= d, the Newton systems on each fold's free coordinates, read
-    from the Gram matrix and padded to the widest free set with identity
-    rows; when N > d, their (d, d) Woodbury cores. Raises ``NonConvergence``
-    for the first uncertified fold in fold order, carrying its partial
-    ``DualSolution`` over its kept rows; a non-finite norm names overflow
-    as its cause, at c when the fold's sum of row norms is finite.
+    or stuck fold stops moving. One batched solve per step serves the
+    moving folds: when N <= d, the Newton systems on each fold's free
+    coordinates, read from the Gram matrix and padded to the widest free set
+    with identity rows; when N > d, their (d, d) Woodbury cores. Raises
+    ``NonConvergence`` for the first uncertified fold in fold order,
+    carrying its partial ``DualSolution`` over its kept rows and naming it
+    stuck or at max_iter; a non-finite norm names overflow as its cause
+    instead, at c when the fold's sum of row norms is finite.
     """
     GT_ZERO.check("tol", tol)
     GE_ZERO.check("max_iter", max_iter)
@@ -468,87 +473,78 @@ def solve_folds(
         except np.linalg.LinAlgError:
             return direction
 
-    def arc_search(lam, obj, grad, pg_norm, box, direction):
-        """The first accepted point of clip(lam + t * direction) of each row,
-        halving t: the rows' new (lam, obj, grad, pg_norm), and a mask of the
-        rows where no point passed, which keep their state."""
+    def arc_search(folds, lam_f, grad_f, box_f, direction):
+        """Halving t, write the first accepted point of clip(lam + t *
+        direction) of each fold of ``folds``, whose rows of lam, grad and box
+        are ``lam_f``, ``grad_f`` and ``box_f``, into lam, obj, grad and
+        pg_norm. Returns the folds where no point passed, left as they were."""
+        obj_f, norm_f = obj[folds], pg_norm[folds]
         # below this predicted gain the Armijo test compares rounding noise
-        floor = np.finfo(float).eps / ARMIJO_SIGMA * np.maximum(1.0, np.abs(obj))
-        moved, trying, step = None, np.arange(len(obj)), 1.0
+        floor = np.finfo(float).eps / ARMIJO_SIGMA * np.maximum(1.0, np.abs(obj_f))
+        trying, step = np.arange(len(folds)), 1.0
         for _ in range(MAX_HALVINGS):
-            candidate = np.minimum(np.maximum(lam + step * direction, 0.0), box)
-            gain = np.vecdot(grad, candidate - lam)
+            lam_t, box_t = lam_f[trying], box_f[trying]
+            candidate = np.minimum(np.maximum(lam_t + step * direction[trying], 0.0), box_t)
+            gain = np.vecdot(grad_f[trying], candidate - lam_t)
             ok = gain > 0.0
             if ok.any():
                 cand_obj, v = objective(candidate)
-                armijo = gain > floor
-                ok &= ~armijo | (cand_obj >= obj + ARMIJO_SIGMA * gain)
+                armijo = gain > floor[trying]
+                ok &= ~armijo | (cand_obj >= obj_f[trying] + ARMIJO_SIGMA * gain)
             if ok.any():
-                cand = cand_obj, *gradient(candidate, v, box)
-                ok &= armijo | (cand[2] < pg_norm)
-                if moved is None and ok.all():
-                    return candidate, *cand, ~ok
-            if ok.any():
-                moved = moved or [x.copy() for x in (lam, obj, grad, pg_norm)]
-                for x, y in zip(moved, (candidate, *cand)):
-                    x[trying[ok]] = y[ok]
-                trying, rest = trying[~ok], ~ok
+                cand_grad, cand_norm = gradient(candidate, v, box_t)
+                ok &= armijo | (cand_norm < norm_f[trying])
+                accepted = folds[trying[ok]]
+                lam[accepted], obj[accepted] = candidate[ok], cand_obj[ok]
+                grad[accepted], pg_norm[accepted] = cand_grad[ok], cand_norm[ok]
+                trying = trying[~ok]
                 if not trying.size:
                     break
-                lam, obj, grad, pg_norm, box, direction, floor = (
-                    x[rest] for x in (lam, obj, grad, pg_norm, box, direction, floor)
-                )
             step *= 0.5
-        moved = moved or [lam, obj, grad, pg_norm]
-        failed = np.zeros(len(moved[1]), dtype=bool)
-        failed[trying] = True
-        return *moved, failed
+        return folds[trying]
 
-    # the state of the folds still stepping (fold numbers ``ids``); each has
-    # taken ``steps`` steps, less one if it is ``stuck``: neither arc had an
-    # acceptable point. A fold leaves, its state copied to ``out``, once it
-    # is certified or stuck or has taken max_iter steps.
-    ids, box, kept = np.arange(len(keep)), np.where(keep, upper, 0.0), keep
+    # each fold's state stays in place, (F, N) or (F,); ``moving`` holds the
+    # fold numbers still stepping. A fold leaves certified or ``stuck``
+    # (neither arc had an acceptable point), its ``iterations`` the steps it
+    # took; the folds still moving after max_iter steps are at the cap
+    box = np.where(keep, upper, 0.0)
     obj, v = objective(lam)
     grad, pg_norm = gradient(lam, v, box)
-    out = [lam.copy(), np.empty(len(keep)), np.empty(len(keep)), np.zeros(len(keep), int)]
-    steps, stuck = 0, np.zeros(len(keep), dtype=bool)
+    iterations, stuck = np.zeros(len(keep), dtype=int), np.zeros(len(keep), dtype=bool)
+    moving, steps = np.arange(len(keep)), 0
     while True:
-        leaving = stuck | (pg_norm <= tol) | (steps >= max_iter)
-        if leaving.any():
-            for x, y in zip(out, (lam, obj, pg_norm, steps - stuck)):
-                x[ids[leaving]] = y[leaving]
-            staying = ~leaving
-            if not staying.any():
-                break
-            ids, lam, obj, grad, pg_norm, box, kept = (
-                x[staying] for x in (ids, lam, obj, grad, pg_norm, box, kept)
-            )
-        direction = newton_direction(lam, grad, box, kept)
-        lam, obj, grad, pg_norm, stuck = arc_search(lam, obj, grad, pg_norm, box, direction)
-        if stuck.any():
-            *fallback, still = arc_search(
-                *(x[stuck] for x in (lam, obj, grad, pg_norm, box, grad))
-            )
-            for x, y in zip((lam, obj, grad, pg_norm), fallback):
-                x[stuck] = y
-            stuck[stuck] = still
+        certified = pg_norm[moving] <= tol  # a NaN norm, from overflow, certifies nothing
+        if certified.any():
+            iterations[moving[certified]] = steps
+            moving = moving[~certified]
+        if not moving.size or steps == max_iter:
+            break
+        lam_m, grad_m, box_m = lam[moving], grad[moving], box[moving]
+        direction = newton_direction(lam_m, grad_m, box_m, keep[moving])
+        failed = arc_search(moving, lam_m, grad_m, box_m, direction)
+        if failed.size:
+            failed = arc_search(failed, lam[failed], grad[failed], box[failed], grad[failed])
+            iterations[failed], stuck[failed] = steps, True
+            moving = moving[~stuck[moving]]
         steps += 1
+    iterations[moving] = steps
 
-    lam, obj, pg_norm, iterations = out
-    for f in np.flatnonzero(~(pg_norm <= tol)):  # a NaN norm, from overflow, certifies nothing
+    for f in np.sort(np.concatenate([np.flatnonzero(stuck), moving])):
         partial = DualSolution(lam[f, keep[f]], obj[f], pg_norm[f], int(iterations[f]), False)
         relation = ">" if pg_norm[f] > tol else "is not <="
-        cause = ""
         if not np.isfinite(pg_norm[f]):
             # ||v|| <= c * sum_n ||a_n||: if the aggregates' part is finite, c overflows J
             blame = "the aggregates' scale; standardize the features"
             if np.isfinite(np.sqrt(row_sq[keep[f]]).sum() ** 2):
                 blame = f"c={c:g}; use a smaller c"
-            cause = f": the dual objective overflows at {blame}"
+            cause = f"the dual objective overflows at {blame}"
+        elif stuck[f]:
+            cause = "stuck, with no acceptable point on the Newton or the projected-gradient arc"
+        else:
+            cause = f"max_iter={max_iter} reached"
         raise NonConvergence(
             f"projected gradient norm {pg_norm[f]:.3e} {relation} tol {tol:.3e} after "
-            f"{iterations[f]} iterations{cause}",
+            f"{iterations[f]} iterations: {cause}",
             solution=partial,
         )
     return FoldSolutions(lam, obj, pg_norm, iterations)

@@ -98,10 +98,18 @@ MUTANTS = (
         # a NaN norm, from overflow, would certify its fold
         "nan_norm_certifies",
         "med_core.py",
-        "for f in np.flatnonzero(~(pg_norm <= tol)):",
-        "for f in np.flatnonzero(pg_norm > tol):",
+        "certified = pg_norm[moving] <= tol",
+        "certified = ~(pg_norm[moving] > tol)",
         ("tests/test_med_core.py::TestSolveDual::test_overflowing_problem_is_not_certified",
          "tests/test_med_core.py::TestSolveFolds::test_overflowing_fold_raises"),
+    ),
+    Mutant(
+        # a fold with no acceptable point on either arc reported as one at the cap
+        "stuck_reads_as_capped",
+        "med_core.py",
+        "elif stuck[f]:",
+        "elif False:",
+        ("tests/test_med_core.py::TestSolveFolds::test_stuck_fold_names_the_stall",),
     ),
 )
 

@@ -10,10 +10,11 @@ count. Not collected by pytest; run it as
 
     python tests/solver_draws.py [seed ...]      (default: 7 11)
 
-It prints one line per seed: the failure count, the total lambda-loop
-iterations of the certified solves, the wall time and the OpenBLAS kernel
-numpy runs (the counts depend on it; ``unknown`` when numpy's bundled
-OpenBLAS or its kernel query is absent).
+It prints one line per seed: the failure count, split by how the solve
+stopped (stuck, with no acceptable point on either arc, or at max_iter),
+the total lambda-loop iterations of the certified solves, the wall time and
+the OpenBLAS kernel numpy runs (the counts depend on it; ``unknown`` when
+numpy's bundled OpenBLAS or its kernel query is absent).
 """
 
 import ctypes
@@ -29,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from healthindex.errors import NonConvergence  # noqa: E402
-from healthindex.med_core import DualProblem, solve_dual  # noqa: E402
+from healthindex.med_core import DEFAULT_MAX_ITER, DualProblem, solve_dual  # noqa: E402
 
 C_VALUES = (1.2, 1.5, 3.0, 10.0, 100.0)
 
@@ -59,16 +60,17 @@ def openblas_kernel() -> str:
     return "unknown"
 
 
-def run_draw(seed: int) -> tuple[list[int], int]:
-    """Indices of the instances that fail to certify, and the iterations of
-    the rest."""
-    failed, iterations = [], 0
+def run_draw(seed: int) -> tuple[list[int], list[int], int]:
+    """Indices of the instances that fail to certify as stuck and at
+    max_iter, and the iterations of the rest."""
+    stuck, capped, iterations = [], [], 0
     for i, (aggs, c) in enumerate(instances(seed)):
         try:
             iterations += solve_dual(DualProblem(aggs, c)).iterations
-        except NonConvergence:
-            failed.append(i)
-    return failed, iterations
+        except NonConvergence as exc:
+            # a stuck solve stops before its max_iter-th step
+            (capped if exc.solution.iterations == DEFAULT_MAX_ITER else stuck).append(i)
+    return stuck, capped, iterations
 
 
 if __name__ == "__main__":
@@ -76,9 +78,10 @@ if __name__ == "__main__":
     kernel = openblas_kernel()
     for seed in [int(s) for s in sys.argv[1:]] or [7, 11]:
         t0 = time.perf_counter()
-        failed, iterations = run_draw(seed)
+        stuck, capped, iterations = run_draw(seed)
         print(
-            f"default_rng({seed}): {len(failed)} of 1000 fail to certify; "
+            f"default_rng({seed}): {len(stuck) + len(capped)} of 1000 fail to certify "
+            f"({len(stuck)} stuck, {len(capped)} at max_iter); "
             f"{iterations} iterations in the rest; {time.perf_counter() - t0:.1f} s; "
             f"OpenBLAS kernel {kernel}"
         )

@@ -30,6 +30,8 @@ from healthindex.med_core import (
     solve_folds,
     _presolve_folds,
 )
+from healthindex.panel import aggregates, fit_standardization, load_panel
+from healthindex.simulator import SimConfig, simulate_to_files
 
 # frozen by hand: 0.5*0.25 - 0.5 - log(0.75) for the one-subject fixture
 SCALAR_LOG_PARTITION = -0.0873179275482191
@@ -574,6 +576,46 @@ class TestSolveFolds:
         partial = excinfo.value.solution
         assert partial.lam.shape == (5,) and math.isnan(partial.grad_norm)
         assert alone.grad_norm[0] <= DEFAULT_TOL
+
+    def test_stuck_fold_names_the_stall(self, tmp_path):
+        """The standardized 40-subject d = 5 panel at c = 1e12, as ``train
+        --c 1e12`` solves it: after 127 to 325 steps, by BLAS kernel, neither
+        arc has an acceptable point, far short of the cap, and the message
+        says the fold is stuck."""
+        config = SimConfig(d=5, informative_k=3, n_per_class=20, seed=3,
+                           label_observed_fraction=0.5)
+        simulate_to_files(config, tmp_path / "panel.csv")
+        agg = aggregates(load_panel(tmp_path / "panel.csv", fit_standardization))
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_folds(DualProblem(agg, c=1e12), np.ones((1, len(agg)), dtype=bool))
+        partial = excinfo.value.solution
+        assert str(excinfo.value) == (
+            f"projected gradient norm {partial.grad_norm:.3e} > tol 1.000e-08 after "
+            f"{partial.iterations} iterations: stuck, with no acceptable point on the Newton "
+            "or the projected-gradient arc"
+        )
+        assert 1.0 < partial.grad_norm < 10.0 and partial.iterations < 1000
+
+    def test_capped_fold_names_the_cap(self):
+        """A fold that would certify in more steps, stopped after one."""
+        agg = np.random.default_rng(40).normal(size=(40, 90))
+        keep = _ten_folds(np.random.default_rng(40), 40)
+        with pytest.raises(NonConvergence) as excinfo:
+            solve_folds(DualProblem(agg, c=100.0), keep, max_iter=1)
+        assert str(excinfo.value).endswith(" after 1 iterations: max_iter=1 reached")
+        assert excinfo.value.solution.iterations == 1
+
+    @pytest.mark.parametrize("max_iter", [0, 10])
+    def test_non_finite_fold_names_the_overflow(self, max_iter):
+        """A NaN-norm fold leaves at the cap (max_iter = 0) or stuck
+        (max_iter = 10); either way its message names the overflow alone."""
+        agg = np.random.default_rng(0).normal(size=(3, 5)) * 1e300
+        with np.errstate(all="ignore"), pytest.raises(NonConvergence) as excinfo:
+            solve_folds(DualProblem(agg, c=1.5), np.ones((1, 3), dtype=bool), max_iter=max_iter)
+        assert str(excinfo.value) == (
+            "projected gradient norm nan is not <= tol 1.000e-08 after 0 iterations: the dual "
+            "objective overflows at the aggregates' scale; standardize the features"
+        )
 
     def test_keep_and_start_shapes_checked(self):
         problem = DualProblem(np.ones((4, 2)), c=2.0)
